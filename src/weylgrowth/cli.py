@@ -60,7 +60,12 @@ def load_config(environ=None) -> dict:
     for key, val in obj.items():
         if key not in DEFAULTS:
             raise InputError(f"unknown config key {key!r}")
-        cfg[key] = type(DEFAULTS[key])(val)
+        kind = type(DEFAULTS[key])
+        try:
+            cfg[key] = kind(val)
+        except (TypeError, ValueError) as ex:
+            raise InputError(f"config key {key!r}: {val!r} is not a valid "
+                             f"{kind.__name__}") from ex
     return cfg
 
 
@@ -120,7 +125,10 @@ def _parse_covector(text: str, rank: int):
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != rank:
         raise InputError(f"covector {text!r} needs {rank} entries")
-    return vec(rat(p) for p in parts)
+    try:
+        return vec(rat(p) for p in parts)
+    except (ValueError, ZeroDivisionError) as ex:
+        raise InputError(f"covector {text!r} has a non-rational entry") from ex
 
 
 def cmd_growth_solve(args, cfg) -> int:

@@ -21,18 +21,11 @@ from .errors import InputError
 from .growth import (GrowthIndicator, _with_both_reps, dominant_iota_classes,
                      growth_polytope_vertices, modified_cone_nonempty)
 from .polyhedra import min_norm_point
-from .rational import (dot, inverse, mat_to_float, matvec, to_float, vec,
+from .rational import (dot, mat_to_float, matvec, to_float, vec,
                        vscale, vsub, vzero)
 from .rootsystem import fundamental_weights, rho
 
 MULTISTARTS_DEFAULT = 32
-
-
-def gram_inverse(R):
-    # inner product on the vector side; covectors pair through the gram itself
-    if "gram_inv" not in R._cache:
-        R._cache["gram_inv"] = inverse(R.inner_product)
-    return R._cache["gram_inv"]
 
 
 def covector_norm_sq(R, mu):
@@ -40,7 +33,7 @@ def covector_norm_sq(R, mu):
 
 
 def vector_norm_sq(R, v):
-    return dot(v, matvec(gram_inverse(R), v))
+    return dot(v, matvec(R.gram_inv, v))
 
 
 @dataclass(frozen=True)
@@ -72,12 +65,12 @@ def _route_a(G: GrowthIndicator) -> dict:
         for p in G.pieces:
             rows.append(list(vsub(p, r)))
             b.append(Q(1))
-        v_star = min_norm_point(rows, b, gram_inverse(R))
+        v_star = min_norm_point(rows, b, R.gram_inv)
         if v_star is None:
             raise RuntimeError("projection disagrees with the feasibility screen")
         nsq = vector_norm_sq(R, v_star)
         delta = 1 / math.sqrt(nsq)
-        mu_exact = vscale(Q(1) / nsq, matvec(gram_inverse(R), v_star))
+        mu_exact = vscale(Q(1) / nsq, matvec(R.gram_inv, v_star))
         out = {"status": "positive", "delta": delta,
                "v_unit": tuple(float(x) * delta for x in v_star),
                "v_exact": v_star, "mu_exact": mu_exact,
@@ -112,7 +105,7 @@ def _sphere_scan(G: GrowthIndicator, rounds=5):
     """
     R = G.root_system
     gens = [to_float(g) for g in G.cone.generators]
-    ginv = mat_to_float(gram_inverse(R))
+    ginv = mat_to_float(R.gram_inv)
     r = rho(R)
     shifted = [to_float(vsub(p, r)) for p in G.pieces]
     m = len(gens)
@@ -248,8 +241,13 @@ def critical_data(G: GrowthIndicator, *,
     """Run both routes and package the result with their discrepancy.
 
     route_agreement is |mu_A - mu_B| / |mu_A| in the covector norm when
-    mu_A is nonzero, else the absolute norm of mu_B.
+    mu_A is nonzero, else the absolute norm of mu_B.  The result is
+    cached on the model per multistarts, so report, gates and replays
+    share one Route B run.
     """
+    key = ("critical", multistarts)
+    if key in G._cache:
+        return G._cache[key]
     a = _route_a(G)
     mu_b = solve_mu_gamma_minimization(G, multistarts=multistarts)
     R = G.root_system
@@ -260,9 +258,11 @@ def critical_data(G: GrowthIndicator, *,
         agreement = math.sqrt(gap_sq / na_sq)
     else:
         agreement = math.sqrt(gap_sq)
-    return CriticalData(delta_prime_max=a["delta"], v_gamma=a["v_unit"],
-                        mu_gamma=a["mu"], route_agreement=agreement,
-                        mu_gamma_exact=a["mu_exact"], status=a["status"])
+    G._cache[key] = CriticalData(
+        delta_prime_max=a["delta"], v_gamma=a["v_unit"], mu_gamma=a["mu"],
+        route_agreement=agreement, mu_gamma_exact=a["mu_exact"],
+        status=a["status"])
+    return G._cache[key]
 
 
 def theta_mu(mu_gamma, mu, R):

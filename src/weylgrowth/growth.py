@@ -10,6 +10,7 @@ test, the nonpositive case to a vertex scan of an epigraph polytope.
 
 import random
 from dataclasses import dataclass, field
+from math import lcm
 
 from .cones import (
     PolyCone,
@@ -19,7 +20,7 @@ from .cones import (
     dominant_cone,
     poly_cone,
 )
-from .errors import InputError, ModelInvariantError
+from .errors import CheckFailure, InputError, ModelInvariantError
 from .polyhedra import (
     extreme_rays,
     lp_feasible_ineq,
@@ -84,48 +85,75 @@ def _with_both_reps(C: PolyCone, rank) -> PolyCone:
 
 def build_growth_model(R, cone, pieces, iota_samples=IOTA_SAMPLES_DEFAULT,
                        seed=0) -> GrowthIndicator:
-    """Validate and build a model; collects every invariant violation."""
+    """Validate and build a model; collects every invariant violation.
+
+    Involution invariance psi(iota v) = psi(v) is checked exactly on
+    every cone generator and then on iota_samples cone points drawn from
+    random.Random(seed): for each generator in order, a coefficient
+    randint(0, 8) / randint(1, 4). Both sides are compared through two
+    integer pairing tables, piece . g and piece . iota(g) for each
+    generator g over one common denominator, with the coefficients
+    scaled by 12; the point itself is rebuilt only for the message.
+    """
     if not pieces:
         raise InputError("a growth model needs at least one piece")
     pieces = tuple(vec(p) for p in pieces)
     cone = _with_both_reps(cone, R.rank)
+    gens = cone.generators
     violations = []
-    for g in cone.generators:
+    for g in gens:
         if any(dot(b, g) < 0 for b in R.simple_roots):
             violations.append(f"cone generator {g} lies outside the chamber")
     two_rho = vscale(Q(2), rho(R))
-    for g in cone.generators:
+    for g in gens:
         val = min(dot(p, g) for p in pieces)
         if val < 0:
             violations.append(f"negative value {val} at generator {g}")
         if val > dot(two_rho, g):
             violations.append(f"value at generator {g} exceeds twice the half sum")
     iota_v = iota_vector_matrix(R)
-    prims = {primitive(g) for g in cone.generators}
-    for g in cone.generators:
-        if primitive(matvec(iota_v, g)) not in prims:
+    iota_gens = [matvec(iota_v, g) for g in gens]
+    prims = {primitive(g) for g in gens}
+    for g, ig in zip(gens, iota_gens):
+        if primitive(ig) not in prims:
             violations.append(f"generator set is not involution-stable at {g}")
     if not violations:
-        def psi(v):
-            return min(dot(p, v) for p in pieces)
-        rng = random.Random(seed)
-        gens = cone.generators
-        for g in gens:
-            if psi(matvec(iota_v, g)) != psi(g):
+        table, iota_table = _pairing_tables(pieces, gens, iota_gens)
+        for i, g in enumerate(gens):
+            if (min(row[i] for row in iota_table)
+                    != min(row[i] for row in table)):
                 violations.append(f"value not involution-invariant at generator {g}")
                 break
         else:
+            rng = random.Random(seed)
             for _ in range(iota_samples):
-                cs = [Q(rng.randint(0, 8), rng.randint(1, 4)) for _ in gens]
-                v = vec([0] * R.rank)
-                for c, g in zip(cs, gens):
-                    v = vec_add_scaled(v, c, g)
-                if psi(matvec(iota_v, v)) != psi(v):
+                draws = [(rng.randint(0, 8), rng.randint(1, 4)) for _ in gens]
+                cs = [a * (12 // b) for a, b in draws]
+                psi = min(sum(c * t for c, t in zip(cs, row)) for row in table)
+                psi_iota = min(sum(c * t for c, t in zip(cs, row))
+                               for row in iota_table)
+                if psi_iota != psi:
+                    v = vec([0] * R.rank)
+                    for (a, b), g in zip(draws, gens):
+                        v = vec_add_scaled(v, Q(a, b), g)
                     violations.append(f"value not involution-invariant at sample {v}")
                     break
     if violations:
         raise ModelInvariantError(violations)
     return GrowthIndicator(root_system=R, cone=cone, pieces=pieces)
+
+
+def _pairing_tables(pieces, gens, iota_gens):
+    """Integer rows piece . g and piece . iota(g), one row per piece.
+
+    Both tables share one positive scale, so mins of integer row sums
+    compare exactly as the rational values of psi and psi o iota do.
+    """
+    rows = [[dot(p, g) for g in gens] for p in pieces]
+    iota_rows = [[dot(p, g) for g in iota_gens] for p in pieces]
+    den = lcm(*(x.denominator for row in rows + iota_rows for x in row))
+    return ([[int(x * den) for x in row] for row in rows],
+            [[int(x * den) for x in row] for row in iota_rows])
 
 
 def evaluate(G: GrowthIndicator, v):
@@ -253,7 +281,8 @@ def exponent_sandwich(G: GrowthIndicator, mu):
     """(delta' - inf rho, delta' + sup rho) over the slice mu = 1.
 
     Requires mu strictly positive on the cone minus the origin; the
-    unmodified exponent is recomputed and asserted to lie inside.
+    unmodified exponent is recomputed and must lie inside; CheckFailure
+    otherwise.
     """
     mu = vec(mu)
     if not G.cone.generators:
@@ -271,7 +300,9 @@ def exponent_sandwich(G: GrowthIndicator, mu):
     vals = [dot(r, w) for w in verts]
     lower, upper = dp - min(vals), dp + max(vals)
     d = delta_prime(G, mu, modified=False).value
-    assert lower <= d <= upper
+    if not lower <= d <= upper:
+        raise CheckFailure(f"unmodified exponent {d} lies outside the "
+                           f"sandwich [{lower}, {upper}]")
     return lower, upper
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from weylgrowth import cli
+from weylgrowth import cli, critical
 from weylgrowth.cones import poly_cone
 from weylgrowth.growth import build_growth_model, growth_model_to_json
 from weylgrowth.rational import Q, vadd, vec
@@ -126,6 +126,27 @@ def test_growth_solve_error_codes(capsys, tmp_path, b2_models):
     inv.write_text(json.dumps(obj))
     code, _, err = run(capsys, ["growth-solve", str(inv)])
     assert code == 3 and "model invariant" in err
+    for mu in ("1,x", "1,1/0"):
+        code, _, err = run(capsys, ["growth-solve", b2_models["thin"],
+                                    "--mu", mu])
+        assert code == 2 and "non-rational entry" in err
+
+
+def test_growth_solve_consistency_runs_route_b_once(capsys, b2_models,
+                                                   monkeypatch):
+    calls = []
+    solve = critical.solve_mu_gamma_minimization
+
+    def counted(G, **kw):
+        calls.append(G)
+        return solve(G, **kw)
+    monkeypatch.setattr(critical, "solve_mu_gamma_minimization", counted)
+    for name in ("thin", "wall", "kink"):
+        calls.clear()
+        code, out, _ = run(capsys, ["growth-solve", b2_models[name],
+                                    "--consistency"])
+        assert code == 0 and json.loads(out)["consistency"] == "passed"
+        assert len(calls) == 1
 
 
 def test_figure_deterministic_and_guarded(capsys, tmp_path):
@@ -211,3 +232,6 @@ def test_config_file_env(capsys, tmp_path, monkeypatch):
     cfgfile.write_text(json.dumps({"no_such_key": 1}))
     code, _, err = run(capsys, ["rootsys", "--preset", "a1"])
     assert code == 2 and "unknown config key" in err
+    cfgfile.write_text(json.dumps({"seed": "abc"}))
+    code, _, err = run(capsys, ["rootsys", "--preset", "a1"])
+    assert code == 2 and "not a valid int" in err

@@ -5,7 +5,8 @@ from fractions import Fraction as Q
 import pytest
 
 from weylgrowth.cones import dominant_cone, poly_cone
-from weylgrowth.errors import InputError, ModelInvariantError
+from weylgrowth import growth
+from weylgrowth.errors import CheckFailure, InputError, ModelInvariantError
 from weylgrowth.growth import (
     NEG_INF,
     POS_INF,
@@ -70,6 +71,29 @@ def test_model_invariant_violations():
         build_growth_model(A2, dominant_cone(A2), [["5/3", "4/3"]])
     with pytest.raises(InputError):
         build_growth_model(R, C, [])
+
+
+def test_involution_sample_violation_message():
+    # invariant on both chamber rays, so only a seeded sample catches it
+    A2 = build_root_system("a2")
+    with pytest.raises(ModelInvariantError) as info:
+        build_growth_model(A2, dominant_cone(A2), [[1, 3], [2, 1]])
+    assert info.value.violations == [
+        "value not involution-invariant at sample (Fraction(7, 3), Fraction(3, 2))"]
+
+
+@pytest.mark.parametrize("name, seed, gens, pieces", [
+    ("a2", 0, [[1, 0], [0, 1]], [["7/5", "7/5"], [3, 3]]),
+    ("a2", 3, [[1, 4], [4, 1]], [["7/5", "7/5"], [2, 2]]),
+    ("a2", 5, [[1, 3], [3, 1]], [[2, 2], [3, 3], [4, 4]]),
+    ("b3", 0, [[6, 4, 1], [8, 7, 4]],
+     [["9/2", "27/10", "9/10"], [5, 4, "3/2"], [6, 3, "3/2"]]),
+    ("b3", 1, [[9, 5, 4]], [["7/2", "21/10", "7/10"], ["15/2", "9/2", 2]]),
+])
+def test_random_growth_model_pinned(name, seed, gens, pieces):
+    G = random_growth_model(build_root_system(name), random.Random(seed))
+    assert G.cone.generators == tuple(vec(g) for g in gens)
+    assert G.pieces == tuple(vec(p) for p in pieces)
 
 
 def test_modified_limit_cone():
@@ -218,6 +242,18 @@ def test_exponent_sandwich():
 
     with pytest.raises(InputError):
         exponent_sandwich(G, [1, -1])
+
+
+def test_exponent_sandwich_rejects_exponent_outside(monkeypatch):
+    G = rho_model()
+    solved = delta_prime
+
+    def shifted(G, mu, modified=True):
+        dp = solved(G, mu, modified=modified)
+        return dp if modified else growth.DeltaPrime(dp.value + 100, dp.status)
+    monkeypatch.setattr(growth, "delta_prime", shifted)
+    with pytest.raises(CheckFailure, match="outside the sandwich"):
+        exponent_sandwich(G, [1, 1])
 
 
 def test_exponent_sandwich_scaled_weight():
