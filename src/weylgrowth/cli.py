@@ -21,18 +21,16 @@ from .growth import (delta_prime, delta_prime_report, growth_model_from_json,
                      random_growth_model)
 from .orbits import (ORBIT_CAP_DEFAULT, empirical_limit_cone, enumerate_orbit,
                      estimate_exponent, iota_symmetry_check, sample_to_csv)
-from .rational import Q, is_zero, rat, vec
+from .rational import Q, is_zero
 from .rootsystem import (_num_to_json, build_root_system, fundamental_weights,
                          iota_permutation, rho, root_system_to_json,
-                         strongly_orthogonal_theta, vec_to_json)
+                         strongly_orthogonal_theta, vec_from_json, vec_to_json)
 from .verify import (bound_wall_avoided, check_psilinear, deduce_onewall,
                      deduce_twowalls, reproduce_b3_remark, run_lemma_check)
 
 CONFIG_ENV = "WEYLGROWTH_CONFIG"
 
 DEFAULTS = {
-    "tolerance": 1e-9,
-    "max_iter": 32,
     "seed": 0,
     "orbit_cap": ORBIT_CAP_DEFAULT,
 }
@@ -70,10 +68,8 @@ def load_config(environ=None) -> dict:
 
 
 def _apply_flag_overrides(cfg: dict, args) -> dict:
-    for key in ("tolerance", "max_iter", "seed"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
+    if getattr(args, "seed", None) is not None:
+        cfg["seed"] = args.seed
     return cfg
 
 
@@ -122,13 +118,8 @@ def cmd_rootsys(args, cfg) -> int:
 
 
 def _parse_covector(text: str, rank: int):
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != rank:
-        raise InputError(f"covector {text!r} needs {rank} entries")
-    try:
-        return vec(rat(p) for p in parts)
-    except (ValueError, ZeroDivisionError) as ex:
-        raise InputError(f"covector {text!r} has a non-rational entry") from ex
+    return vec_from_json(text.replace(",", " ").split(), rank,
+                         f"covector {text!r}")
 
 
 def cmd_growth_solve(args, cfg) -> int:
@@ -140,28 +131,31 @@ def cmd_growth_solve(args, cfg) -> int:
     except json.JSONDecodeError as ex:
         raise InputError(f"model file is not valid JSON: {ex}") from ex
     G = growth_model_from_json(obj)
-    rep = critical_report(G, multistarts=cfg["max_iter"])
-    mus = [_parse_covector(t, G.root_system.rank) for t in (args.mu or [])]
-    mus.extend(vec(rat(x) for x in m) for m in obj.get("mu_list", []))
+    rep = critical_report(G)
+    rank = G.root_system.rank
+    mus = [_parse_covector(t, rank) for t in (args.mu or [])]
+    mu_list = obj.get("mu_list", [])
+    if not isinstance(mu_list, list):
+        raise InputError("mu_list must be a list of covectors")
+    mus.extend(vec_from_json(m, rank, f"covector {m!r}") for m in mu_list)
     rep["delta_prime_mu"] = [
         dict(delta_prime_report(G, mu), mu=vec_to_json(mu)) for mu in mus]
     _expect_keys(rep, ("delta_prime", "v_gamma", "mu_gamma", "theta",
                        "delta_prime_mu"), "growth-solve")
     if args.consistency:
-        _assert_solution_consistency(G, rep, cfg)
+        _assert_solution_consistency(G, rep)
         rep["consistency"] = "passed"
     _emit(rep)
     return 0
 
 
-def _assert_solution_consistency(G, rep, cfg) -> None:
+def _assert_solution_consistency(G, rep) -> None:
     """Cross-route and touching-ray gates; failures raise CheckFailure."""
     if rep["delta_prime"] == "-inf":
         return
-    gap = rep["route_gap"]
-    if gap is not None and gap > 1e-5:
-        raise CheckFailure(f"route disagreement {gap} above 1e-5")
-    cd = critical_data(G, multistarts=cfg["max_iter"])
+    if rep["route_gap"] != 0:
+        raise CheckFailure(f"routes disagree: relative gap {rep['route_gap']}")
+    cd = critical_data(G)
     mg = cd.mu_gamma_exact
     if mg is None or is_zero(mg):
         return
@@ -276,8 +270,9 @@ def cmd_orbit(args, cfg) -> int:
         out["cone_generators"] = [[float(x) for x in g]
                                   for g in cone.generators]
     if args.mu is not None:
-        mu = tuple(float(rat(p)) for p in args.mu.replace(",", " ").split())
-        out["exponent"] = estimate_exponent(S, mu)
+        # one entry per matrix dimension
+        out["exponent"] = estimate_exponent(
+            S, _parse_covector(args.mu, S.rank + 1))
     if args.iota_check:
         out["iota_symmetry"] = iota_symmetry_check(obj, depth=args.iota_check)
     if args.output:
@@ -296,11 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     # SUPPRESS keeps a subcommand's unset copy of a shared flag from
     # clobbering a value given before the subcommand name
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tolerance", type=float, default=argparse.SUPPRESS,
-                        help="numeric tolerance override")
-    common.add_argument("--max-iter", dest="max_iter", type=int,
-                        default=argparse.SUPPRESS,
-                        help="restart budget for the heuristic route")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for randomized suites")
     p = argparse.ArgumentParser(prog="weylgrowth", parents=[common],

@@ -234,6 +234,8 @@ def cone_to_json(C: PolyCone) -> dict:
 
 
 def cone_from_json(obj: dict) -> PolyCone:
+    if not isinstance(obj, dict):
+        raise InputError("cone JSON must be an object")
     return poly_cone(generators=obj.get("generators"),
                      halfspaces=obj.get("halfspaces"),
                      open_flag=bool(obj.get("open", False)))

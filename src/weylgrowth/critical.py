@@ -5,27 +5,26 @@ by two independent routes.  Route A projects the origin onto the super-level
 polyhedron {psi' >= 1} and is authoritative: the projection is an exact
 rational point, so mu_Gamma comes out exact and only the reported delta'
 involves a square root.  Route B minimizes the scaled exponent over the
-dominant involution-invariant covectors and serves as a cross-check; it is a
-float search (multi-start grid plus nested golden-section line descent) whose
-result is snapped back into exact arithmetic at the end.
+dominant involution-invariant covectors and serves as a cross-check: it is
+the polar projection, a minimum-norm point in the class coefficients of the
+involution classes of fundamental weights, and is exact as well, so the two
+routes must agree exactly.  The nonpositive branch (delta' <= 0) is read off an
+exact feasibility test and a vertex scan; no quantity comes from a float
+search.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from itertools import product
 
 from .cones import chamber_rays
 from .errors import InputError
 from .growth import (GrowthIndicator, _with_both_reps, dominant_iota_classes,
                      growth_polytope_vertices, modified_cone_nonempty)
-from .polyhedra import min_norm_point
-from .rational import (dot, mat_to_float, matvec, to_float, vec,
-                       vscale, vsub, vzero)
+from .polyhedra import lp_feasible_ineq, min_norm_point, vertices_of_polyhedron
+from .rational import dot, matvec, vec, vec_add_scaled, vscale, vsub, vzero
 from .rootsystem import fundamental_weights, rho
-
-MULTISTARTS_DEFAULT = 32
 
 
 def covector_norm_sq(R, mu):
@@ -72,11 +71,11 @@ def _route_a(G: GrowthIndicator) -> dict:
         delta = 1 / math.sqrt(nsq)
         mu_exact = vscale(Q(1) / nsq, matvec(R.gram_inv, v_star))
         out = {"status": "positive", "delta": delta,
-               "v_unit": tuple(float(x) * delta for x in v_star),
+               "v_unit": _direction(R, v_star),
                "v_exact": v_star, "mu_exact": mu_exact,
                "mu": tuple(float(x) for x in mu_exact)}
     else:
-        val, vdir = _sphere_scan(G)
+        val, vdir = _nonpositive_sup(G)
         out = {"status": "nonpositive", "delta": val, "v_unit": vdir,
                "v_exact": None, "mu_exact": vzero(n), "mu": (0.0,) * n}
     G._cache["route_a"] = out
@@ -89,180 +88,102 @@ def solve_delta_prime_max(G: GrowthIndicator):
 
     When the super-level polyhedron {psi' >= 1} is nonempty its minimum-norm
     point v* gives delta' = 1/|v*| and v'_Gamma = v*/|v*| exactly up to the
-    final square root.  Otherwise delta' <= 0 is certified by an exact
-    feasibility test and the returned values come from a grid scan of the
-    sphere (reporting precision only).  An empty cone yields -inf and None.
+    final square root.  Otherwise delta' <= 0 and both come from an exact
+    feasibility test or an exact vertex scan (see _nonpositive_sup), again
+    up to the final square root; there is no grid scan.  An empty cone
+    yields -inf and None.
     """
     a = _route_a(G)
     return a["delta"], a["v_unit"]
 
 
-def _sphere_scan(G: GrowthIndicator, rounds=5):
-    """Grid maximization of psi'(v)/|v| over the cone section.
+def _nonpositive_sup(G: GrowthIndicator):
+    """sup of psi'(v)/|v| over the cone and a unit vector attaining it,
+    for a model with psi' <= 0 on the cone.
 
-    Only used when the value is known to be <= 0; the scan is for reporting,
-    not certification, so plain refinement of the best grid cell is enough.
+    The supremum is 0 when psi' vanishes at some nonzero cone point (rho is
+    positive there, so rho(v) >= 1 rules out the origin).  Otherwise
+    psi' < 0 away from the origin, {v in cone : psi'(v) >= -1} is a
+    polytope, and by homogeneity the supremum is -1/|w| for its vertex w
+    of largest norm.
     """
     R = G.root_system
-    gens = [to_float(g) for g in G.cone.generators]
-    ginv = mat_to_float(R.gram_inv)
     r = rho(R)
-    shifted = [to_float(vsub(p, r)) for p in G.pieces]
-    m = len(gens)
-    n = R.rank
-
-    def val_and_vec(x):
-        v = [sum(x[i] * gens[i][j] for i in range(m)) for j in range(n)]
-        nsq = sum(v[i] * ginv[i][j] * v[j] for i in range(n) for j in range(n))
-        nrm = math.sqrt(nsq)
-        psi = min(sum(s[j] * v[j] for j in range(n)) for s in shifted)
-        return psi / nrm, tuple(c / nrm for c in v)
-
-    if m == 1:
-        return val_and_vec((1.0,))
-
-    def simplex_pts(step_count):
-        for c in product(range(step_count + 1), repeat=m - 1):
-            if sum(c) <= step_count:
-                x = [ci / step_count for ci in c]
-                yield tuple(x) + (1.0 - sum(x),)
-
-    steps = {2: 4000, 3: 140, 4: 40}.get(m, 16)
-    best_x = max(simplex_pts(steps), key=lambda x: val_and_vec(x)[0])
-    h = 1.0 / steps
-    for _ in range(rounds):
-        h /= 8.0
-        cands = []
-        for off in product((-2, -1, 0, 1, 2), repeat=m - 1):
-            x = [best_x[i] + off[i] * h for i in range(m - 1)]
-            if all(c >= 0 for c in x) and sum(x) <= 1.0:
-                cands.append(tuple(x) + (1.0 - sum(x),))
-        best_x = max(cands, key=lambda x: val_and_vec(x)[0])
-    return val_and_vec(best_x)
+    cone = [list(h) for h in G.cone.halfspaces]
+    shifted = [list(vsub(p, r)) for p in G.pieces]
+    zeros = [Q(0)] * (len(cone) + len(shifted))
+    v = lp_feasible_ineq(cone + shifted + [list(r)], zeros + [Q(1)])
+    if v is not None:
+        return 0.0, _direction(R, v)
+    verts = vertices_of_polyhedron(
+        cone + shifted, [Q(0)] * len(cone) + [Q(-1)] * len(shifted))
+    w = max(verts, key=lambda x: vector_norm_sq(R, x))
+    return -1 / math.sqrt(vector_norm_sq(R, w)), _direction(R, w)
 
 
-def _golden(f, a, b, iters):
-    """Maximize a unimodal function on [a, b]; returns (argmax, value)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-    mid = (a + b) / 2.0
-    return mid, f(mid)
+def _direction(R, v):
+    """v / |v| as floats."""
+    nrm = math.sqrt(vector_norm_sq(R, v))
+    return tuple(float(x) / nrm for x in v)
 
 
-def _simplex_max(fun, k, starts, iters=70):
-    """Global maximum of a quasiconcave function on the standard simplex.
+def solve_mu_gamma_minimization(G: GrowthIndicator):
+    """Route B: the exact polar projection, delta'_mu * mu at the optimum.
 
-    Nested golden-section searches: every line restriction and every
-    coordinate projection of a quasiconcave function is unimodal, so the
-    nesting is globally correct.  A start grid provides a floor value.
-    """
-    if k == 1:
-        return (1.0,), fun((1.0,))
-
-    def nested(prefix, remaining):
-        if remaining == 1:
-            x = prefix + (1.0 - sum(prefix),)
-            return x, fun(x)
-        budget = iters if k <= 3 else max(24, iters // (k - 1))
-        free = 1.0 - sum(prefix)
-
-        def g(s):
-            return nested(prefix + (free * s,), remaining - 1)[1]
-
-        s_best, _ = _golden(g, 0.0, 1.0, budget)
-        return nested(prefix + (free * s_best,), remaining - 1)
-
-    x_best, f_best = nested((), k)
-    level = 1
-    while math.comb(level + k - 1, k - 1) < starts:
-        level += 1
-    for c in product(range(level + 1), repeat=k - 1):
-        if sum(c) <= level:
-            x = tuple(ci / level for ci in c) + ((level - sum(c)) / level,)
-            fx = fun(x)
-            if fx > f_best:
-                x_best, f_best = x, fx
-    return x_best, f_best
-
-
-def solve_mu_gamma_minimization(G: GrowthIndicator, *,
-                                multistarts=MULTISTARTS_DEFAULT):
-    """Route B: minimize |mu| * delta'_mu over dominant involution-invariant
-    covectors mu and return delta'_mu * mu at the optimum, as floats.
-
-    For a dominant mu the exponent is 1/min over the super-level polyhedron
-    vertices of mu, so the objective is an exact ratio of piecewise-linear
-    over norm; the search runs on the coefficient simplex of the involution
-    classes of fundamental weights.  Returns zeros when delta' <= 0.
+    A covector that is at least 1 on the super-level polyhedron
+    {psi' >= 1} is at least 1 on its vertices (dominant covectors are
+    nonnegative on its recession cone), so minimizing |mu| over dominant
+    involution-invariant mu = sum x_i u_i, x >= 0, subject to mu(w) >= 1 on
+    every vertex w is a projection in the class coefficients.  At the
+    optimum min_w mu(w) = 1, so mu is already delta'_mu * mu.  Returns
+    exact Fractions; zeros when delta' <= 0.
     """
     R = G.root_system
     n = R.rank
-    zero = (0.0,) * n
     if not G.cone.generators or not modified_cone_nonempty(G):
-        return zero
+        return vzero(n)
     us = dominant_iota_classes(R)
     verts = growth_polytope_vertices(G, True)
     if not verts:
         raise RuntimeError("positive exponent but no super-level vertices")
     k = len(us)
-    uvals = [[float(dot(u, w)) for u in us] for w in verts]
-    m = [[float(dot(us[i], matvec(R.inner_product, us[j]))) for j in range(k)]
-         for i in range(k)]
-
-    def fx(x):
-        h = min(sum(xc * uw for xc, uw in zip(x, row)) for row in uvals)
-        nsq = sum(x[i] * m[i][j] * x[j] for i in range(k) for j in range(k))
-        return h / math.sqrt(nsq) if nsq > 0 else 0.0
-
-    x_best, _ = _simplex_max(fx, k, multistarts)
+    rows = [[Q(int(i == j)) for j in range(k)] for i in range(k)]
+    rows.extend([dot(u, w) for u in us] for w in verts)
+    b = [Q(0)] * k + [Q(1)] * len(verts)
+    gram = [[dot(ui, matvec(R.inner_product, uj)) for uj in us] for ui in us]
+    x = min_norm_point(rows, b, gram)
+    if x is None:
+        raise RuntimeError("route B found no feasible class coefficients")
     mu = vzero(n)
-    for c, u in zip(x_best, us):
-        if c > 0:
-            mu = vec(a + Q(c) * b for a, b in zip(mu, u))
-    low = min(dot(mu, w) for w in verts)
-    if low <= 0:
-        raise RuntimeError("route B landed on a degenerate direction")
-    return tuple(float(c) for c in vscale(Q(1) / low, mu))
+    for c, u in zip(x, us):
+        mu = vec_add_scaled(mu, c, u)
+    return mu
 
 
-def critical_data(G: GrowthIndicator, *,
-                  multistarts=MULTISTARTS_DEFAULT) -> CriticalData:
+def critical_data(G: GrowthIndicator) -> CriticalData:
     """Run both routes and package the result with their discrepancy.
 
     route_agreement is |mu_A - mu_B| / |mu_A| in the covector norm when
-    mu_A is nonzero, else the absolute norm of mu_B.  The result is
-    cached on the model per multistarts, so report, gates and replays
-    share one Route B run.
+    mu_A is nonzero, else the absolute norm of mu_B; both routes are
+    exact, so it is 0.0 unless they disagree.  The result is cached on
+    the model, so report, gates and replays share one Route B run.
     """
-    key = ("critical", multistarts)
-    if key in G._cache:
-        return G._cache[key]
+    if "critical" in G._cache:
+        return G._cache["critical"]
     a = _route_a(G)
-    mu_b = solve_mu_gamma_minimization(G, multistarts=multistarts)
+    mu_b = solve_mu_gamma_minimization(G)
     R = G.root_system
-    diff = vsub(a["mu_exact"], vec(Q(c) for c in mu_b))
-    gap_sq = covector_norm_sq(R, diff)
+    gap_sq = covector_norm_sq(R, vsub(a["mu_exact"], mu_b))
     na_sq = covector_norm_sq(R, a["mu_exact"])
     if na_sq > 0:
         agreement = math.sqrt(gap_sq / na_sq)
     else:
         agreement = math.sqrt(gap_sq)
-    G._cache[key] = CriticalData(
+    G._cache["critical"] = CriticalData(
         delta_prime_max=a["delta"], v_gamma=a["v_unit"], mu_gamma=a["mu"],
         route_agreement=agreement, mu_gamma_exact=a["mu_exact"],
         status=a["status"])
-    return G._cache[key]
+    return G._cache["critical"]
 
 
 def theta_mu(mu_gamma, mu, R):
@@ -290,11 +211,10 @@ def theta_mu(mu_gamma, mu, R):
     return max(ratios) if ratios else Q(0)
 
 
-def critical_report(G: GrowthIndicator, *,
-                    multistarts=MULTISTARTS_DEFAULT) -> dict:
+def critical_report(G: GrowthIndicator) -> dict:
     """JSON-ready summary: delta', v'_Gamma, mu_Gamma, route gap, and the
     theta values against each fundamental weight."""
-    cd = critical_data(G, multistarts=multistarts)
+    cd = critical_data(G)
     R = G.root_system
     theta = {}
     for i, w in enumerate(fundamental_weights(R), start=1):

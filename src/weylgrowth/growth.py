@@ -45,6 +45,7 @@ from .rootsystem import (
     rho,
     root_system_from_json,
     root_system_to_json,
+    vec_from_json,
     vec_to_json,
     vector_action,
 )
@@ -430,9 +431,18 @@ def growth_model_to_json(G: GrowthIndicator) -> dict:
 
 
 def growth_model_from_json(obj: dict) -> GrowthIndicator:
+    """Parse and validate a model; malformed input raises InputError."""
+    if not isinstance(obj, dict):
+        raise InputError("a growth model must be a JSON object")
+    missing = [k for k in ("root_system", "cone", "pieces") if k not in obj]
+    if missing:
+        raise InputError(f"growth model lacks {', '.join(missing)}")
     R = root_system_from_json(obj["root_system"])
     cone = cone_from_json(obj["cone"])
-    return build_growth_model(R, cone, [vec(p) for p in obj["pieces"]])
+    if not isinstance(obj["pieces"], list):
+        raise InputError("growth model pieces must be a list")
+    pieces = [vec_from_json(p, R.rank, f"piece {p!r}") for p in obj["pieces"]]
+    return build_growth_model(R, cone, pieces)
 
 
 def delta_prime_report(G: GrowthIndicator, mu, modified=True) -> dict:

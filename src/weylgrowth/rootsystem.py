@@ -552,6 +552,19 @@ def vec_to_json(v) -> list:
     return [_num_to_json(x) for x in v]
 
 
+def vec_from_json(entries, rank: int, what: str) -> Vec:
+    """An exact vector from a list of rank JSON numbers or 'p/q' strings.
+
+    InputError, naming the input as what, for any other shape or entry.
+    """
+    if not isinstance(entries, (list, tuple)) or len(entries) != rank:
+        raise InputError(f"{what} needs {rank} entries")
+    try:
+        return vec(entries)
+    except (TypeError, ValueError, ZeroDivisionError) as ex:
+        raise InputError(f"{what} has a non-rational entry") from ex
+
+
 def root_system_to_json(R: RootSystem) -> dict:
     return {
         "label": R.label,

@@ -130,6 +130,22 @@ def test_growth_solve_error_codes(capsys, tmp_path, b2_models):
         code, _, err = run(capsys, ["growth-solve", b2_models["thin"],
                                     "--mu", mu])
         assert code == 2 and "non-rational entry" in err
+    good = json.loads(open(b2_models["thin"]).read())
+    cases = [
+        (dict(good, mu_list=[["1", "x"]]), "non-rational entry"),
+        (dict(good, mu_list=[[1]]), "needs 2 entries"),
+        (dict(good, mu_list=[[1, 1, 1]]), "needs 2 entries"),
+        (dict(good, pieces=[["1", "x"]]), "non-rational entry"),
+        (dict(good, pieces=[[1, 1, 1]]), "needs 2 entries"),
+        ([good], "JSON object"),
+    ]
+    for key in ("cone", "pieces", "root_system"):
+        cases.append(({k: v for k, v in good.items() if k != key}, key))
+    malformed = tmp_path / "malformed.json"
+    for obj, msg in cases:
+        malformed.write_text(json.dumps(obj))
+        code, _, err = run(capsys, ["growth-solve", str(malformed)])
+        assert code == 2 and msg in err, (obj, err)
 
 
 def test_growth_solve_consistency_runs_route_b_once(capsys, b2_models,
@@ -218,6 +234,16 @@ def test_orbit_bad_json(capsys, tmp_path):
     assert code == 2 and "not valid JSON" in err
 
 
+def test_orbit_bad_mu(capsys, tmp_path):
+    gens = tmp_path / "cyc.json"
+    gens.write_text(json.dumps({
+        "ambient": "sl3r",
+        "generators": [[[2.0, 0, 0], [0, 1, 0], [0, 0, 0.5]]],
+        "max_word_length": 4}))
+    code, _, err = run(capsys, ["orbit", str(gens), "--mu", "1,x,0"])
+    assert code == 2 and "non-rational entry" in err
+
+
 def test_config_file_env(capsys, tmp_path, monkeypatch):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"orbit_cap": 5}))
@@ -229,9 +255,10 @@ def test_config_file_env(capsys, tmp_path, monkeypatch):
         "max_word_length": 12}))
     code, _, err = run(capsys, ["orbit", str(gens)])
     assert code == 2 and "cap" in err
-    cfgfile.write_text(json.dumps({"no_such_key": 1}))
-    code, _, err = run(capsys, ["rootsys", "--preset", "a1"])
-    assert code == 2 and "unknown config key" in err
+    for key in ("no_such_key", "tolerance", "max_iter"):
+        cfgfile.write_text(json.dumps({key: 1}))
+        code, _, err = run(capsys, ["rootsys", "--preset", "a1"])
+        assert code == 2 and "unknown config key" in err
     cfgfile.write_text(json.dumps({"seed": "abc"}))
     code, _, err = run(capsys, ["rootsys", "--preset", "a1"])
     assert code == 2 and "not a valid int" in err
