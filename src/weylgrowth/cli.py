@@ -1,7 +1,8 @@
 """Command line frontend: presets, model solving, checks, orbits, figures.
 
 Exit codes: 0 success, 1 check failure, 2 input error (including bad
-JSON and unknown presets), 3 model invariant violation.  A config file
+JSON and unknown presets), 3 model invariant violation, 4 internal
+error (a defect in this package).  A config file
 named by the WEYLGROWTH_CONFIG environment variable supplies defaults;
 command line flags win over it.
 """
@@ -14,14 +15,13 @@ import sys
 
 from .cones import avoids_facet, closure
 from .critical import critical_data, critical_report
-from .errors import CheckFailure, InputError, ModelInvariantError
+from .errors import CheckFailure, InputError, InternalError, ModelInvariantError
 from .figures import figure_geometry, figure_svg
 from .growth import (delta_prime, delta_prime_report, growth_model_from_json,
-                     modified_cone_nonempty, modified_limit_cone,
-                     random_growth_model)
+                     modified_limit_cone, random_growth_model)
 from .orbits import (ORBIT_CAP_DEFAULT, empirical_limit_cone, enumerate_orbit,
                      estimate_exponent, iota_symmetry_check, sample_to_csv)
-from .rational import Q, is_zero
+from .rational import is_zero
 from .rootsystem import (_num_to_json, build_root_system, fundamental_weights,
                          iota_permutation, rho, root_system_to_json,
                          strongly_orthogonal_theta, vec_from_json, vec_to_json)
@@ -160,7 +160,7 @@ def _assert_solution_consistency(G, rep) -> None:
     if mg is None or is_zero(mg):
         return
     val = delta_prime(G, mg).value
-    if not isinstance(val, Q) or abs(val - 1) > Q(1, 10**8):
+    if val != 1:
         raise CheckFailure(f"exponent at the critical functional is {val}, "
                            "expected 1")
 
@@ -362,6 +362,9 @@ def main(argv=None) -> int:
     except ModelInvariantError as ex:
         print(f"model invariant violation: {ex}", file=sys.stderr)
         return 3
+    except InternalError as ex:
+        print(f"internal error: {ex}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

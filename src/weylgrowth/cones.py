@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from .errors import CheckFailure, InputError
 from .polyhedra import DD_RANK_CAP_DEFAULT, conic_member, extreme_rays
 from .rational import (
-    Q,
     dot,
+    identity,
     inverse,
     is_zero,
     mat,
@@ -24,7 +24,14 @@ from .rational import (
     vec,
     vsub,
 )
-from .rootsystem import dominant_representative, vec_to_json, weyl_group
+from .rootsystem import (
+    dominant_representative,
+    json_rows,
+    memo,
+    vec_from_json,
+    vec_to_json,
+    weyl_group,
+)
 
 
 @dataclass(frozen=True)
@@ -95,22 +102,19 @@ def closure(C: PolyCone) -> PolyCone:
                     halfspaces=C.halfspaces, open_flag=False)
 
 
+@memo("chamber_rays")
 def chamber_rays(R) -> tuple:
     """Primitive extremal rays v_beta of a+, dual basis to the simple roots."""
-    if "chamber_rays" not in R._cache:
-        cols = inverse([list(b) for b in R.simple_roots])
-        rays = tuple(primitive(tuple(cols[i][j] for i in range(R.rank)))
-                     for j in range(R.rank))
-        R._cache["chamber_rays"] = rays
-    return R._cache["chamber_rays"]
+    cols = inverse([list(b) for b in R.simple_roots])
+    return tuple(primitive(tuple(cols[i][j] for i in range(R.rank)))
+                 for j in range(R.rank))
 
 
+@memo("dominant_cone")
 def dominant_cone(R) -> PolyCone:
     """The closed chamber a+ with both representations."""
-    if "dominant_cone" not in R._cache:
-        R._cache["dominant_cone"] = poly_cone(
-            generators=chamber_rays(R), halfspaces=R.simple_roots, rank=R.rank)
-    return R._cache["dominant_cone"]
+    return poly_cone(generators=chamber_rays(R), halfspaces=R.simple_roots,
+                     rank=R.rank)
 
 
 def dual_cone(C: PolyCone, dd_cap=DD_RANK_CAP_DEFAULT) -> PolyCone:
@@ -200,8 +204,7 @@ def lemma_positivity(vs, u, gram=None):
     vs = [vec(v) for v in vs]
     u = vec(u)
     n = len(u)
-    G = mat(gram) if gram is not None else tuple(
-        tuple(Q(1) if i == j else Q(0) for j in range(n)) for i in range(n))
+    G = mat(gram) if gram is not None else identity(n)
     if mat_rank(vs) != len(vs):
         raise InputError("precondition failure: vectors are not independent")
     gv = [matvec(G, v) for v in vs]
@@ -234,8 +237,21 @@ def cone_to_json(C: PolyCone) -> dict:
 
 
 def cone_from_json(obj: dict) -> PolyCone:
+    """Parse and validate a cone; malformed input raises InputError.
+
+    The ambient rank is the length of the first vector given.
+    """
     if not isinstance(obj, dict):
         raise InputError("cone JSON must be an object")
-    return poly_cone(generators=obj.get("generators"),
-                     halfspaces=obj.get("halfspaces"),
-                     open_flag=bool(obj.get("open", False)))
+    rank, reps = None, {}
+    for key in ("generators", "halfspaces"):
+        rows = obj.get(key)
+        if rows is None:
+            continue
+        if json_rows(rows, f"cone {key}") and rank is None:
+            rank = len(rows[0])
+        reps[key] = [vec_from_json(r, rank, f"cone {key} entry {r!r}") for r in rows]
+    open_flag = obj.get("open", False)
+    if not isinstance(open_flag, bool):
+        raise InputError("cone 'open' must be true or false")
+    return poly_cone(**reps, open_flag=open_flag)

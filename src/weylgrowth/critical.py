@@ -19,12 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from .cones import chamber_rays
-from .errors import InputError
+from .errors import InputError, InternalError
 from .growth import (GrowthIndicator, _with_both_reps, dominant_iota_classes,
-                     growth_polytope_vertices, modified_cone_nonempty)
+                     growth_polytope_vertices, modified_cone_nonempty,
+                     super_level_rows)
 from .polyhedra import lp_feasible_ineq, min_norm_point, vertices_of_polyhedron
 from .rational import dot, matvec, vec, vec_add_scaled, vscale, vsub, vzero
-from .rootsystem import fundamental_weights, rho
+from .rootsystem import fundamental_weights, memo, rho
 
 
 def covector_norm_sq(R, mu):
@@ -48,53 +49,36 @@ class CriticalData:
     status: str
 
 
+@memo("route_a")
 def _route_a(G: GrowthIndicator) -> dict:
-    if "route_a" in G._cache:
-        return G._cache["route_a"]
-    R = G.root_system
-    n = R.rank
-    C = _with_both_reps(G.cone, n)
-    if not C.generators:
-        out = {"status": "empty-cone", "delta": float("-inf"), "v_unit": None,
-               "v_exact": None, "mu_exact": vzero(n), "mu": (0.0,) * n}
-    elif modified_cone_nonempty(G):
-        rows = [list(h) for h in C.halfspaces]
-        b = [Q(0)] * len(rows)
-        r = rho(R)
-        for p in G.pieces:
-            rows.append(list(vsub(p, r)))
-            b.append(Q(1))
-        v_star = min_norm_point(rows, b, R.gram_inv)
-        if v_star is None:
-            raise RuntimeError("projection disagrees with the feasibility screen")
-        nsq = vector_norm_sq(R, v_star)
-        delta = 1 / math.sqrt(nsq)
-        mu_exact = vscale(Q(1) / nsq, matvec(R.gram_inv, v_star))
-        out = {"status": "positive", "delta": delta,
-               "v_unit": _direction(R, v_star),
-               "v_exact": v_star, "mu_exact": mu_exact,
-               "mu": tuple(float(x) for x in mu_exact)}
-    else:
-        val, vdir = _nonpositive_sup(G)
-        out = {"status": "nonpositive", "delta": val, "v_unit": vdir,
-               "v_exact": None, "mu_exact": vzero(n), "mu": (0.0,) * n}
-    G._cache["route_a"] = out
-    return out
-
-
-def solve_delta_prime_max(G: GrowthIndicator):
-    """(delta', v'_Gamma): the largest modified growth value on the unit
-    sphere and a unit vector attaining it.
+    """Route A: delta' and v'_Gamma, with mu_Gamma when delta' > 0.
 
     When the super-level polyhedron {psi' >= 1} is nonempty its minimum-norm
     point v* gives delta' = 1/|v*| and v'_Gamma = v*/|v*| exactly up to the
     final square root.  Otherwise delta' <= 0 and both come from an exact
-    feasibility test or an exact vertex scan (see _nonpositive_sup), again
-    up to the final square root; there is no grid scan.  An empty cone
-    yields -inf and None.
+    feasibility test or an exact vertex scan (see _nonpositive_sup).  An
+    empty cone yields -inf and no direction.
     """
-    a = _route_a(G)
-    return a["delta"], a["v_unit"]
+    R = G.root_system
+    n = R.rank
+    C = _with_both_reps(G.cone, n)
+    if not C.generators:
+        return {"status": "empty-cone", "delta": float("-inf"), "v_unit": None,
+                "v_exact": None, "mu_exact": vzero(n), "mu": (0.0,) * n}
+    if modified_cone_nonempty(G):
+        v_star = min_norm_point(*super_level_rows(G), R.gram_inv)
+        if v_star is None:
+            raise InternalError("projection disagrees with the feasibility screen")
+        nsq = vector_norm_sq(R, v_star)
+        delta = 1 / math.sqrt(nsq)
+        mu_exact = vscale(Q(1) / nsq, matvec(R.gram_inv, v_star))
+        return {"status": "positive", "delta": delta,
+                "v_unit": _direction(R, v_star),
+                "v_exact": v_star, "mu_exact": mu_exact,
+                "mu": tuple(float(x) for x in mu_exact)}
+    val, vdir = _nonpositive_sup(G)
+    return {"status": "nonpositive", "delta": val, "v_unit": vdir,
+            "v_exact": None, "mu_exact": vzero(n), "mu": (0.0,) * n}
 
 
 def _nonpositive_sup(G: GrowthIndicator):
@@ -108,15 +92,11 @@ def _nonpositive_sup(G: GrowthIndicator):
     of largest norm.
     """
     R = G.root_system
-    r = rho(R)
-    cone = [list(h) for h in G.cone.halfspaces]
-    shifted = [list(vsub(p, r)) for p in G.pieces]
-    zeros = [Q(0)] * (len(cone) + len(shifted))
-    v = lp_feasible_ineq(cone + shifted + [list(r)], zeros + [Q(1)])
+    rows, b = super_level_rows(G)
+    v = lp_feasible_ineq(rows + [rho(R)], [Q(0)] * len(rows) + [Q(1)])
     if v is not None:
         return 0.0, _direction(R, v)
-    verts = vertices_of_polyhedron(
-        cone + shifted, [Q(0)] * len(cone) + [Q(-1)] * len(shifted))
+    verts = vertices_of_polyhedron(rows, [-x for x in b])
     w = max(verts, key=lambda x: vector_norm_sq(R, x))
     return -1 / math.sqrt(vector_norm_sq(R, w)), _direction(R, w)
 
@@ -145,7 +125,7 @@ def solve_mu_gamma_minimization(G: GrowthIndicator):
     us = dominant_iota_classes(R)
     verts = growth_polytope_vertices(G, True)
     if not verts:
-        raise RuntimeError("positive exponent but no super-level vertices")
+        raise InternalError("positive exponent but no super-level vertices")
     k = len(us)
     rows = [[Q(int(i == j)) for j in range(k)] for i in range(k)]
     rows.extend([dot(u, w) for u in us] for w in verts)
@@ -153,13 +133,14 @@ def solve_mu_gamma_minimization(G: GrowthIndicator):
     gram = [[dot(ui, matvec(R.inner_product, uj)) for uj in us] for ui in us]
     x = min_norm_point(rows, b, gram)
     if x is None:
-        raise RuntimeError("route B found no feasible class coefficients")
+        raise InternalError("route B found no feasible class coefficients")
     mu = vzero(n)
     for c, u in zip(x, us):
         mu = vec_add_scaled(mu, c, u)
     return mu
 
 
+@memo("critical_data")
 def critical_data(G: GrowthIndicator) -> CriticalData:
     """Run both routes and package the result with their discrepancy.
 
@@ -168,8 +149,6 @@ def critical_data(G: GrowthIndicator) -> CriticalData:
     exact, so it is 0.0 unless they disagree.  The result is cached on
     the model, so report, gates and replays share one Route B run.
     """
-    if "critical" in G._cache:
-        return G._cache["critical"]
     a = _route_a(G)
     mu_b = solve_mu_gamma_minimization(G)
     R = G.root_system
@@ -179,11 +158,10 @@ def critical_data(G: GrowthIndicator) -> CriticalData:
         agreement = math.sqrt(gap_sq / na_sq)
     else:
         agreement = math.sqrt(gap_sq)
-    G._cache["critical"] = CriticalData(
+    return CriticalData(
         delta_prime_max=a["delta"], v_gamma=a["v_unit"], mu_gamma=a["mu"],
         route_agreement=agreement, mu_gamma_exact=a["mu_exact"],
         status=a["status"])
-    return G._cache["critical"]
 
 
 def theta_mu(mu_gamma, mu, R):

@@ -24,3 +24,7 @@ class ModelInvariantError(ValueError):
 
 class CheckFailure(AssertionError):
     """A verified identity failed (consistency mode or a genuine defect).  Exit 1."""
+
+
+class InternalError(RuntimeError):
+    """An internal invariant failed: a defect in this package, not bad input.  Exit 4."""

@@ -20,7 +20,7 @@ from .cones import (
     dominant_cone,
     poly_cone,
 )
-from .errors import CheckFailure, InputError, ModelInvariantError
+from .errors import CheckFailure, InputError, InternalError, ModelInvariantError
 from .polyhedra import (
     extreme_rays,
     lp_feasible_ineq,
@@ -39,11 +39,12 @@ from .rational import (
     vsub,
 )
 from .rootsystem import (
+    build_root_system,
     fundamental_weights,
     iota_permutation,
+    memo,
     opposition_involution,
     rho,
-    root_system_from_json,
     root_system_to_json,
     vec_from_json,
     vec_to_json,
@@ -65,11 +66,10 @@ class GrowthIndicator:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
 
+@memo("iota_vector_matrix")
 def iota_vector_matrix(R):
     """The opposition involution acting on the vector side."""
-    if "iota_vec" not in R._cache:
-        R._cache["iota_vec"] = vector_action(R, opposition_involution(R))
-    return R._cache["iota_vec"]
+    return vector_action(R, opposition_involution(R))
 
 
 def _with_both_reps(C: PolyCone, rank) -> PolyCone:
@@ -189,27 +189,22 @@ def modified_limit_cone(G: GrowthIndicator) -> PolyCone:
                      open_flag=True)
 
 
+def super_level_rows(G: GrowthIndicator, modified=True):
+    """(A, b) with {v in cone : each piece (minus rho) >= 1} = {A v >= b}."""
+    rows = list(G.cone.halfspaces) + _shifted_pieces(G, modified)
+    return rows, [Q(0)] * len(G.cone.halfspaces) + [Q(1)] * len(G.pieces)
+
+
+@memo("modified_cone_nonempty")
 def modified_cone_nonempty(G: GrowthIndicator) -> bool:
     """Exact: is there v in the cone with psi'(v) > 0?"""
-    rows = list(G.cone.halfspaces)
-    b = [Q(0)] * len(rows)
-    for p in _shifted_pieces(G, True):
-        rows.append(p)
-        b.append(Q(1))
-    return lp_feasible_ineq(rows, b) is not None
+    return lp_feasible_ineq(*super_level_rows(G)) is not None
 
 
+@memo("growth_polytope_vertices")
 def growth_polytope_vertices(G: GrowthIndicator, modified=True):
     """Vertices of {v in cone : each piece (minus rho) >= 1}, cached."""
-    key = ("p1", modified)
-    if key not in G._cache:
-        rows = list(G.cone.halfspaces)
-        b = [Q(0)] * len(rows)
-        for p in _shifted_pieces(G, modified):
-            rows.append(p)
-            b.append(Q(1))
-        G._cache[key] = vertices_of_polyhedron(rows, b)
-    return G._cache[key]
+    return vertices_of_polyhedron(*super_level_rows(G, modified))
 
 
 @dataclass(frozen=True)
@@ -257,7 +252,7 @@ def delta_prime(G: GrowthIndicator, mu, modified=True) -> DeltaPrime:
                 best = (m, w)
         m, w = best
         if m <= 0:
-            raise RuntimeError("feasibility screen missed an unbounded direction")
+            raise InternalError("feasibility screen missed an unbounded direction")
         return DeltaPrime(value=1 / m, status="finite",
                           witness=vscale(1 / m, w))
     # no point reaches value 1: the supremum is <= 0; scan the epigraph
@@ -274,7 +269,7 @@ def delta_prime(G: GrowthIndicator, mu, modified=True) -> DeltaPrime:
     best = max(everts, key=lambda vt: vt[n])
     val = best[n]
     if val > 0:
-        raise RuntimeError("sign analysis disagrees with the vertex scan")
+        raise InternalError("sign analysis disagrees with the vertex scan")
     return DeltaPrime(value=val, status="nonpositive", witness=best[:n])
 
 
@@ -347,28 +342,6 @@ def tent_check(G: GrowthIndicator, mu_samples, slack=Q(1, 10**8), seed=0,
             "passed": not failures}
 
 
-def limit_set_dim_bound(G: GrowthIndicator, roots) -> float:
-    """max over the given simple roots of max over generators of rho/alpha.
-
-    Empty input gives 0 by convention; touching a wall gives +inf.
-    """
-    roots = [vec(a) for a in roots]
-    if not roots:
-        return 0.0
-    gens = G.cone.generators
-    if gens is None:
-        raise InputError("dimension bound needs cone generators")
-    r = rho(G.root_system)
-    best = Q(0)
-    for a in roots:
-        for g in gens:
-            den = dot(a, g)
-            if den == 0:
-                return POS_INF
-            best = max(best, dot(r, g) / den)
-    return float(best)
-
-
 def dominant_iota_classes(R):
     """Primitive sums w + iota(w) of fundamental weights, one per orbit."""
     perm = iota_permutation(R)
@@ -421,7 +394,7 @@ def random_growth_model(R, rng, iota_samples=200) -> GrowthIndicator:
                                seed=rng.randint(0, 10**6))
         if modified_cone_nonempty(G):
             return G
-    raise RuntimeError("failed to draw a model with positive top exponent")
+    raise InternalError("failed to draw a model with positive top exponent")
 
 
 def growth_model_to_json(G: GrowthIndicator) -> dict:
@@ -437,8 +410,11 @@ def growth_model_from_json(obj: dict) -> GrowthIndicator:
     missing = [k for k in ("root_system", "cone", "pieces") if k not in obj]
     if missing:
         raise InputError(f"growth model lacks {', '.join(missing)}")
-    R = root_system_from_json(obj["root_system"])
+    R = build_root_system(obj["root_system"])
     cone = cone_from_json(obj["cone"])
+    if cone.rank != R.rank:
+        raise InputError(f"cone rank {cone.rank} differs from the rank {R.rank} "
+                         "of the root system")
     if not isinstance(obj["pieces"], list):
         raise InputError("growth model pieces must be a list")
     pieces = [vec_from_json(p, R.rank, f"piece {p!r}") for p in obj["pieces"]]

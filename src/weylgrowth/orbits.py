@@ -8,7 +8,6 @@ depend on the enumeration horizon say so.
 """
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -326,45 +325,6 @@ def iota_symmetry_check(spec, depth: int | None = None, tol: float = 1e-6,
                 raise CapExceeded("involution check", len(stack) + pairs, cap)
     return {"pairs": pairs, "failures": failures,
             "max_deviation": float(worst), "tolerance": tol}
-
-
-def subadditivity_check(spec, pairs: int = 100, seed: int = 0,
-                        tol: float = 1e-6, depth: int = 4,
-                        cap: int = ORBIT_CAP_DEFAULT) -> dict:
-    """Norm of the projection of a product against the sum of the factors'."""
-    spec = build_group_spec(spec)
-    mats, m = _letters(spec)
-    n = spec.n
-    pool = []
-    frontier = [(np.eye(n), -1)]
-    for _ in range(depth):
-        nxt = []
-        for M, last in frontier:
-            for j, L in enumerate(mats):
-                if last >= 0 and j == (last + m) % (2 * m):
-                    continue
-                nxt.append((M @ L, j))
-                if len(pool) + len(nxt) > cap:
-                    raise CapExceeded("subadditivity pool", len(pool), cap)
-        pool.extend(nxt)
-        frontier = nxt
-    if not pool:
-        return {"pairs": 0, "failures": 0, "max_excess": 0.0}
-    rng = random.Random(seed)
-    failures = 0
-    worst = -math.inf
-    for _ in range(pairs):
-        (A, _), (B, _) = rng.choice(pool), rng.choice(pool)
-        pa, pb, pab = _cartan_point(A), _cartan_point(B), _cartan_point(A @ B)
-        if pa is None or pb is None or pab is None:
-            continue
-        excess = _norm(pab) - _norm(pa) - _norm(pb)
-        worst = max(worst, excess)
-        if excess > tol:
-            failures += 1
-    if worst == -math.inf:
-        worst = 0.0
-    return {"pairs": pairs, "failures": failures, "max_excess": float(worst)}
 
 
 def facet_contact_report(S: CartanSample, tol: float = 1e-6) -> dict:

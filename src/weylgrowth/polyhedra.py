@@ -18,15 +18,12 @@ from .rational import (
     rank as mat_rank,
     solve,
     solve_unique,
+    unit,
     vneg,
     vzero,
 )
 
 DD_RANK_CAP_DEFAULT = 4
-
-
-def _unit(n, i):
-    return tuple(Q(1) if j == i else Q(0) for j in range(n))
 
 
 def _row_basis(rows):
@@ -42,7 +39,7 @@ def _pointed_rays(rows, n):
     # every extreme ray has n-1 independent active constraints
     if n == 1:
         out = []
-        for cand in (_unit(1, 0), vneg(_unit(1, 0))):
+        for cand in (unit(1, 0), vneg(unit(1, 0))):
             if all(dot(r, cand) >= 0 for r in rows):
                 out.append(cand)
         return out
@@ -72,7 +69,7 @@ def extreme_rays(halfspaces, n, cap=DD_RANK_CAP_DEFAULT):
     if not rows:
         out = []
         for i in range(n):
-            out.extend((_unit(n, i), vneg(_unit(n, i))))
+            out.extend((unit(n, i), vneg(unit(n, i))))
         return out
     _, lineality = solve([list(r) for r in rows], vzero(len(rows)))
     if not lineality:

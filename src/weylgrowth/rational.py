@@ -74,8 +74,13 @@ def is_zero(u: Vec) -> bool:
     return all(a == 0 for a in u)
 
 
+def unit(n: int, i: int) -> Vec:
+    """The i-th standard basis vector of Q^n."""
+    return tuple(Q(1) if j == i else Q(0) for j in range(n))
+
+
 def identity(n: int) -> Mat:
-    return tuple(tuple(Q(1) if i == j else Q(0) for j in range(n)) for i in range(n))
+    return tuple(unit(n, i) for i in range(n))
 
 
 def transpose(A: Mat) -> Mat:
@@ -89,10 +94,6 @@ def matvec(A: Mat, v: Vec) -> Vec:
 def matmul(A: Mat, B: Mat) -> Mat:
     Bt = transpose(B)
     return tuple(tuple(dot(row, col) for col in Bt) for row in A)
-
-
-def mat_eq(A: Mat, B: Mat) -> bool:
-    return A == B
 
 
 def _rref(rows: list[list]) -> tuple[list[list], list[int]]:
@@ -243,7 +244,3 @@ def nonneg_multiple_of(u: Vec, v: Vec) -> bool:
 
 def to_float(v) -> tuple:
     return tuple(float(x) for x in v)
-
-
-def mat_to_float(A) -> tuple:
-    return tuple(tuple(float(x) for x in row) for row in A)

@@ -9,11 +9,12 @@ the identification covector -> vector is mu -> G mu.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
-from .errors import CapExceeded, InputError
+from .errors import CapExceeded, InputError, InternalError
 from .rational import (
     Mat,
     Vec,
@@ -21,14 +22,14 @@ from .rational import (
     identity,
     inverse,
     is_positive_definite,
-    is_zero,
     mat,
+    matmul,
     matvec,
-    primitive,
     rank as mat_rank,
     solve,
     solve_unique,
     transpose,
+    unit,
     vadd,
     vec,
     vscale,
@@ -37,6 +38,25 @@ from .rational import (
 )
 
 WEYL_CAP_DEFAULT = 2**20
+
+
+def memo(name):
+    """Memoise fn(obj, *args, **kw) in obj._cache, the one cache mechanism.
+
+    The key is name for a call without arguments, else (name, *args,
+    *sorted keyword items), so a call spelled the same way hits the same
+    entry.  Cached values are immutable derived data shared by every
+    caller; a call that raises caches nothing.
+    """
+    def decorate(fn):
+        @functools.wraps(fn)
+        def cached(obj, *args, **kw):
+            key = (name, *args, *sorted(kw.items())) if args or kw else name
+            if key not in obj._cache:
+                obj._cache[key] = fn(obj, *args, **kw)
+            return obj._cache[key]
+        return cached
+    return decorate
 
 
 @dataclass
@@ -51,10 +71,9 @@ class RootSystem:
     # -- pairings ---------------------------------------------------------
 
     @property
+    @memo("gram_inv")
     def gram_inv(self) -> Mat:
-        if "gram_inv" not in self._cache:
-            self._cache["gram_inv"] = inverse(self.inner_product)
-        return self._cache["gram_inv"]
+        return inverse(self.inner_product)
 
     def ip(self, x: Vec, y: Vec):
         """Inner product of two covectors."""
@@ -66,9 +85,6 @@ class RootSystem:
 
     def covector_to_vector(self, mu: Vec) -> Vec:
         return matvec(self.inner_product, mu)
-
-    def vector_to_covector(self, v: Vec) -> Vec:
-        return matvec(self.gram_inv, v)
 
     def cartan_pairing(self, x: Vec, alpha: Vec):
         """2<x, alpha> / <alpha, alpha>."""
@@ -82,25 +98,23 @@ class RootSystem:
     def is_dominant_covector(self, mu: Vec) -> bool:
         return all(self.ip(mu, a) >= 0 for a in self.simple_roots)
 
-    def is_dominant_vector(self, v: Vec) -> bool:
-        return all(dot(a, v) >= 0 for a in self.simple_roots)
-
+    @memo("root_set")
     def root_set(self) -> frozenset:
         """All roots, positive and negative."""
-        if "root_set" not in self._cache:
-            pos = [r for r, _ in self.pos_roots]
-            self._cache["root_set"] = frozenset(pos) | frozenset(tuple(-x for x in r) for r in pos)
-        return self._cache["root_set"]
+        pos = [r for r, _ in self.pos_roots]
+        return frozenset(pos) | frozenset(tuple(-x for x in r) for r in pos)
+
+    @memo("mult_map")
+    def _mult_map(self) -> dict:
+        m = {}
+        for r, mr in self.pos_roots:
+            m[r] = mr
+            m[tuple(-x for x in r)] = mr
+        return m
 
     def multiplicity(self, root: Vec) -> Q:
-        if "mult_map" not in self._cache:
-            m = {}
-            for r, mr in self.pos_roots:
-                m[r] = mr
-                m[tuple(-x for x in r)] = mr
-            self._cache["mult_map"] = m
         try:
-            return self._cache["mult_map"][tuple(root)]
+            return self._mult_map()[tuple(root)]
         except KeyError:
             raise InputError(f"{root} is not a root of {self.label}") from None
 
@@ -189,13 +203,9 @@ def _gram_from_edges(n: int, edges) -> Mat:
     return tuple(tuple(row) for row in g)
 
 
-def _unit(n: int, i: int) -> Vec:
-    return tuple(Q(1) if j == i else Q(0) for j in range(n))
-
-
 def _b_type_simple(n: int) -> tuple[Vec, ...]:
-    out = [vsub(_unit(n, i), _unit(n, i + 1)) for i in range(n - 1)]
-    out.append(_unit(n, n - 1))
+    out = [vsub(unit(n, i), unit(n, i + 1)) for i in range(n - 1)]
+    out.append(unit(n, n - 1))
     return tuple(out)
 
 
@@ -206,31 +216,31 @@ def _preset_data(name: str):
     if m:
         typ, n = m.group(1), int(m.group(2))
         if typ == "a" and n >= 1:
-            basis = tuple(_unit(n, i) for i in range(n))
+            basis = tuple(unit(n, i) for i in range(n))
             return basis, _gram_from_edges(n, [(i, i + 1) for i in range(n - 1)]), lambda r: Q(1), s
         if typ == "b" and n >= 1:
             return _b_type_simple(n), identity(n), lambda r: Q(1), s
         if typ == "c" and n >= 2:
-            out = [vsub(_unit(n, i), _unit(n, i + 1)) for i in range(n - 1)]
-            out.append(vscale(2, _unit(n, n - 1)))
+            out = [vsub(unit(n, i), unit(n, i + 1)) for i in range(n - 1)]
+            out.append(vscale(2, unit(n, n - 1)))
             return tuple(out), identity(n), lambda r: Q(1), s
         if typ == "d" and n >= 2:
-            out = [vsub(_unit(n, i), _unit(n, i + 1)) for i in range(n - 1)]
-            out.append(vadd(_unit(n, n - 2), _unit(n, n - 1)))
+            out = [vsub(unit(n, i), unit(n, i + 1)) for i in range(n - 1)]
+            out.append(vadd(unit(n, n - 2), unit(n, n - 1)))
             return tuple(out), identity(n), lambda r: Q(1), s
         if typ == "g" and n == 2:
-            basis = (_unit(2, 0), _unit(2, 1))
+            basis = (unit(2, 0), unit(2, 1))
             return basis, mat([[2, -3], [-3, 6]]), lambda r: Q(1), s
         if typ == "f" and n == 4:
             simple = (
-                vsub(_unit(4, 1), _unit(4, 2)),
-                vsub(_unit(4, 2), _unit(4, 3)),
-                _unit(4, 3),
+                vsub(unit(4, 1), unit(4, 2)),
+                vsub(unit(4, 2), unit(4, 3)),
+                unit(4, 3),
                 vec(["1/2", "-1/2", "-1/2", "-1/2"]),
             )
             return simple, identity(4), lambda r: Q(1), s
         if typ == "e" and n in (6, 7, 8):
-            basis = tuple(_unit(n, i) for i in range(n))
+            basis = tuple(unit(n, i) for i in range(n))
             return basis, _gram_from_edges(n, _SIMPLY_LACED_EDGES[s](n)), lambda r: Q(1), s
         raise InputError(f"unknown preset {name!r}")
 
@@ -241,7 +251,7 @@ def _preset_data(name: str):
             raise InputError("sl(n,.) needs n >= 2")
         mult = {"r": Q(1), "c": Q(2), "h": Q(4)}[fld]
         r = n - 1
-        basis = tuple(_unit(r, i) for i in range(r))
+        basis = tuple(unit(r, i) for i in range(r))
         return basis, _gram_from_edges(r, [(i, i + 1) for i in range(r - 1)]), lambda _: mult, s
 
     m = re.fullmatch(r"so\((\d+),(\d+)\)", s)
@@ -262,10 +272,6 @@ def _preset_data(name: str):
     raise InputError(f"unknown preset {name!r}")
 
 
-KNOWN_PRESET_SHAPES = ("a<n>", "b<n>", "c<n>", "d<n>", "g2", "f4", "e6", "e7", "e8",
-                       "sl(<n>,R|C|H)", "so(<p>,<q>)")
-
-
 # -- construction ----------------------------------------------------------
 
 
@@ -274,7 +280,8 @@ def build_root_system(spec) -> RootSystem:
 
     Custom dicts: {"simple_roots": [[...]], "multiplicities": [{"root": [...],
     "m": k}, ...], "inner_product": optional matrix}.  Rational entries may be
-    given as "p/q" strings.
+    given as "p/q" strings.  Anything else, or a malformed custom dict,
+    raises InputError.
     """
     if isinstance(spec, str):
         simple, gram, mult_fn, label = _preset_data(spec)
@@ -286,11 +293,14 @@ def build_root_system(spec) -> RootSystem:
             return build_root_system(spec["preset"])
         if "simple_roots" not in spec:
             raise InputError("custom root system needs 'simple_roots'")
-        simple = tuple(vec(r) for r in spec["simple_roots"])
-        n = len(simple)
-        if any(len(r) != n for r in simple):
-            raise InputError("need rank-many simple roots of length rank")
-        gram = mat(spec["inner_product"]) if spec.get("inner_product") else identity(n)
+        n = json_rows(spec["simple_roots"], "simple_roots")
+        simple = tuple(vec_from_json(r, n, f"simple root {r!r}")
+                       for r in spec["simple_roots"])
+        gram = identity(n)
+        if spec.get("inner_product"):
+            json_rows(spec["inner_product"], "inner_product")
+            gram = tuple(vec_from_json(r, n, f"inner_product row {r!r}")
+                         for r in spec["inner_product"])
         if not is_positive_definite(gram):
             raise InputError("inner_product must be symmetric positive definite")
         pos = _positive_closure(simple, gram)
@@ -299,14 +309,26 @@ def build_root_system(spec) -> RootSystem:
     raise InputError(f"cannot build a root system from {type(spec).__name__}")
 
 
+def json_rows(rows, what) -> int:
+    """The row count of a JSON list of lists; InputError for any other shape."""
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise InputError(f"{what} must be a list of vectors")
+    return len(rows)
+
+
 def _custom_multiplicities(simple, gram, pos, entries):
     if not entries:
         return {r: Q(1) for r in pos}
+    if not isinstance(entries, list):
+        raise InputError("multiplicities must be a list")
     posset = set(pos)
     assigned: dict[Vec, Q] = {}
     extra: dict[Vec, Q] = {}  # non-reduced 2*alpha entries, kept as data
     for e in entries:
-        r, mval = vec(e["root"]), Q(str(e["m"]))
+        if not isinstance(e, dict) or "root" not in e or "m" not in e:
+            raise InputError(f"multiplicity entry {e!r} needs 'root' and 'm'")
+        r = vec_from_json(e["root"], len(simple), f"multiplicity root {e['root']!r}")
+        (mval,) = vec_from_json([e["m"]], 1, f"multiplicity {e['m']!r}")
         if mval <= 0:
             raise InputError("multiplicities must be positive")
         if r in posset:
@@ -371,7 +393,6 @@ def _finish(simple, gram, pairs, label) -> RootSystem:
 
 
 def _validate_w_invariance(R: RootSystem):
-    from .rational import matmul
     for a in R.simple_roots:
         for r, m in R.pos_roots:
             img = R.reflect(r, a)
@@ -385,6 +406,7 @@ def _validate_w_invariance(R: RootSystem):
 # -- derived data ----------------------------------------------------------
 
 
+@memo("rho")
 def rho(R: RootSystem) -> Vec:
     """Half sum of positive roots with multiplicities."""
     acc = vzero(R.rank)
@@ -393,17 +415,15 @@ def rho(R: RootSystem) -> Vec:
     return vscale(Q(1, 2), acc)
 
 
+@memo("fundamental_weights")
 def fundamental_weights(R: RootSystem) -> tuple[Vec, ...]:
-    if "weights" in R._cache:
-        return R._cache["weights"]
     rows = mat([matvec(R.inner_product, b) for b in R.simple_roots])
     inv = inverse(rows)
     cols = transpose(inv)
     out = []
     for i, b in enumerate(R.simple_roots):
         out.append(vscale(R.ip(b, b) / 2, cols[i]))
-    R._cache["weights"] = tuple(out)
-    return R._cache["weights"]
+    return tuple(out)
 
 
 def reflection_matrix(R: RootSystem, alpha: Vec) -> Mat:
@@ -415,12 +435,9 @@ def reflection_matrix(R: RootSystem, alpha: Vec) -> Mat:
                        for j in range(n)) for i in range(n))
 
 
+@memo("weyl_group")
 def weyl_group(R: RootSystem, cap: int = WEYL_CAP_DEFAULT) -> tuple[Mat, ...]:
     """Every element of W as a matrix on covector coordinates."""
-    key = ("weyl", cap)
-    if key in R._cache:
-        return R._cache[key]
-    from .rational import matmul
     gens = [reflection_matrix(R, a) for a in R.simple_roots]
     ident = identity(R.rank)
     known = {ident}
@@ -436,20 +453,16 @@ def weyl_group(R: RootSystem, cap: int = WEYL_CAP_DEFAULT) -> tuple[Mat, ...]:
                     if len(known) > cap:
                         raise CapExceeded("Weyl group enumeration", f"> {cap}", cap)
         frontier = nxt
-    out = tuple(sorted(known))
-    R._cache[key] = out
-    return out
+    return tuple(sorted(known))
 
 
 def vector_action(R: RootSystem, w: Mat) -> Mat:
     """Matrix of w on vector coordinates, given its covector matrix."""
-    from .rational import matmul
     return matmul(R.inner_product, matmul(w, R.gram_inv))
 
 
 def dominant_representative(R: RootSystem, lam: Vec) -> tuple[Vec, Mat]:
     """(lam+, w) with w lam = lam+ dominant; repeated reflections at negative walls."""
-    from .rational import matmul
     x = vec(lam)
     w = identity(R.rank)
     guard = 10 * len(R.pos_roots) + 10
@@ -459,14 +472,12 @@ def dominant_representative(R: RootSystem, lam: Vec) -> tuple[Vec, Mat]:
             return x, w
         x = R.reflect(x, a)
         w = matmul(reflection_matrix(R, a), w)
-    raise RuntimeError("dominant descent failed to terminate")
+    raise InternalError("dominant descent failed to terminate")
 
 
+@memo("opposition_involution")
 def opposition_involution(R: RootSystem) -> Mat:
     """iota = -w0 as a matrix on covector coordinates."""
-    if "iota" in R._cache:
-        return R._cache["iota"]
-    from .rational import matmul
     lam = vzero(R.rank)
     for wvec in fundamental_weights(R):
         lam = vadd(lam, wvec)
@@ -480,13 +491,11 @@ def opposition_involution(R: RootSystem) -> Mat:
         x = R.reflect(x, a)
         w = matmul(reflection_matrix(R, a), w)
     else:
-        raise RuntimeError("antidominant descent failed to terminate")
+        raise InternalError("antidominant descent failed to terminate")
     pos = {r for r, _ in R.pos_roots}
     if {matvec(w, r) for r in pos} != {tuple(-c for c in r) for r in pos}:
-        raise RuntimeError("longest element search failed: w0(pos) != -pos")
-    iota = tuple(tuple(-c for c in row) for row in w)
-    R._cache["iota"] = iota
-    return iota
+        raise InternalError("longest element search failed: w0(pos) != -pos")
+    return tuple(tuple(-c for c in row) for row in w)
 
 
 def iota_permutation(R: RootSystem) -> dict[int, int]:
@@ -497,7 +506,7 @@ def iota_permutation(R: RootSystem) -> dict[int, int]:
         img = matvec(iota, a)
         js = [j for j, b in enumerate(R.simple_roots) if b == img]
         if len(js) != 1:
-            raise RuntimeError("opposition involution does not permute the simple roots")
+            raise InternalError("opposition involution does not permute the simple roots")
         out[i] = js[0]
     return out
 
@@ -574,11 +583,3 @@ def root_system_to_json(R: RootSystem) -> dict:
         "multiplicities": [{"root": vec_to_json(r), "m": _num_to_json(m)} for r, m in R.pos_roots],
         "inner_product": [vec_to_json(row) for row in R.inner_product],
     }
-
-
-def root_system_from_json(obj) -> RootSystem:
-    if isinstance(obj, str):
-        return build_root_system(obj)
-    if not isinstance(obj, dict):
-        raise InputError("root-system JSON must be an object or preset string")
-    return build_root_system(obj)

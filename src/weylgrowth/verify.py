@@ -51,11 +51,6 @@ from .growth import (
 )
 from .critical import critical_data, theta_mu
 
-# threshold deciding which walls the critical functional charges
-PAIRING_EPS = Q(1, 10**8)
-
-COLLINEAR_TOL_DEFAULT = 1e-6
-
 
 def _simple_index(R: RootSystem, alpha) -> int:
     alpha = vec(alpha)
@@ -200,49 +195,18 @@ def argmax_face(R: RootSystem, mu, lam):
     return poly_cone(generators=gens, rank=R.rank)
 
 
-def replay_t(R: RootSystem, mu, alpha):
-    """Deformation step for the wall replay: pairing ratio, capped.
-
-    The natural step is <mu, a> / <a, a + ia>; it is capped strictly
-    below <mu, w_a> / <w_a, a + ia> (factor 99/100) because the ratio
-    comparison in the replay needs strict inequality at the cap.
-    """
-    mu = _her_dominant(R, mu)
-    alpha = vec(alpha)
-    i = _simple_index(R, alpha)
-    aia = vec_add_scaled(alpha, Q(1), apply_iota(R, alpha))
-    w = fundamental_weights(R)[i]
-    t = R.ip(mu, alpha) / R.ip(alpha, aia)
-    cap = R.ip(mu, w) / R.ip(w, aia)
-    return min(t, Q(99, 100) * cap)
-
-
 # -- deduction replays -------------------------------------------------------
 
 
-def _collinear_within(mu, u, tol) -> bool:
-    """Exact collinearity when possible, normalized cross products otherwise."""
-    mu, u = vec(mu), vec(u)
-    if is_zero(mu):
-        return True
-    if nonneg_multiple_of(mu, u):
-        return True
-    mn = max(abs(float(x)) for x in mu)
-    un = max(abs(float(x)) for x in u)
-    n = len(mu)
-    worst = max(abs(float(mu[i] * u[j] - mu[j] * u[i]))
-                for i in range(n) for j in range(i + 1, n))
-    return worst / (mn * un) <= tol
-
-
-def deduce_onewall(G, alpha, *, tol=COLLINEAR_TOL_DEFAULT) -> dict:
+def deduce_onewall(G, alpha) -> dict:
     """Replay: one avoided wall pins the critical functional's direction.
 
     premise_holds: the chamber maximum of mu over u = w_a + iota(w_a) is
     attained somewhere on the closure of the positive-growth subcone
-    (exact feasibility test).  conclusion_holds: mu is collinear with u
-    within tol.  identity_exact additionally compares mu against
-    max(0, sup of the modified model over u) times u, exactly.
+    (exact feasibility test).  conclusion_holds: mu is a nonnegative
+    multiple of u (zero included), decided exactly.  identity_exact
+    additionally compares mu against max(0, sup of the modified model
+    over u) times u, exactly.
 
     The report never asserts the conclusion from the premise: for
     synthetic models the premise can fail, and a conclusion failure is
@@ -275,7 +239,7 @@ def deduce_onewall(G, alpha, *, tol=COLLINEAR_TOL_DEFAULT) -> dict:
         b.append(Q(1))
         premise = lp_feasible_ineq(rows, b) is not None
 
-    conclusion = _collinear_within(mu, u, tol)
+    conclusion = nonneg_multiple_of(mu, u)
     dp = delta_prime(G, u)
     if dp.value == POS_INF:
         identity = False
@@ -384,8 +348,8 @@ def check_psilinear(G, samples: int = 200, seed: int = 0,
                     consistency: bool = False) -> dict:
     """Linearity of the model on the subcone the critical functional charges.
 
-    The index set collects the simple roots whose pairing with mu
-    exceeds 1e-8.  On nonnegative combinations of the corresponding
+    The index set collects the simple roots with which mu pairs
+    positively, decided exactly.  On nonnegative combinations of the corresponding
     invariant weight vectors the model should equal mu plus the half
     sum; sample points outside the model cone are counted separately.
     The inequality half (modified model at most mu everywhere on the
@@ -396,7 +360,7 @@ def check_psilinear(G, samples: int = 200, seed: int = 0,
     cd = critical_data(G)
     mu = vec(cd.mu_gamma_exact)
     perm = iota_permutation(R)
-    idx = [i for i, a in enumerate(R.simple_roots) if R.ip(mu, a) > PAIRING_EPS]
+    idx = [i for i, a in enumerate(R.simple_roots) if R.ip(mu, a) > 0]
     gens = []
     seen = set()
     for i in idx:

@@ -138,7 +138,19 @@ def test_growth_solve_error_codes(capsys, tmp_path, b2_models):
         (dict(good, pieces=[["1", "x"]]), "non-rational entry"),
         (dict(good, pieces=[[1, 1, 1]]), "needs 2 entries"),
         ([good], "JSON object"),
+        (dict(good, cone={"generators": [[1, "x"], [1, 1]]}), "non-rational entry"),
+        (dict(good, cone={"halfspaces": [[1, "q"]]}), "non-rational entry"),
+        (dict(good, cone={"generators": 5}), "list of vectors"),
+        (dict(good, cone=dict(good["cone"], open="false")), "true or false"),
+        (dict(good, cone={"generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                          "halfspaces": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+         "cone rank 3"),
     ]
+    custom = good["root_system"]
+    for rs, msg in (
+            (dict(custom, simple_roots=[[1, "z"], [0, 1]]), "non-rational entry"),
+            (dict(custom, multiplicities=[{"root": [1, -1]}]), "needs 'root' and 'm'")):
+        cases.append((dict(good, root_system=rs), msg))
     for key in ("cone", "pieces", "root_system"):
         cases.append(({k: v for k, v in good.items() if k != key}, key))
     malformed = tmp_path / "malformed.json"
@@ -163,6 +175,13 @@ def test_growth_solve_consistency_runs_route_b_once(capsys, b2_models,
                                     "--consistency"])
         assert code == 0 and json.loads(out)["consistency"] == "passed"
         assert len(calls) == 1
+
+
+def test_internal_error_maps_to_exit_4(capsys, b2_models, monkeypatch):
+    monkeypatch.setattr(critical, "min_norm_point", lambda *args: None)
+    code, _, err = run(capsys, ["growth-solve", b2_models["thin"]])
+    assert code == 4 and err.startswith("internal error:")
+    assert "Traceback" not in err
 
 
 def test_figure_deterministic_and_guarded(capsys, tmp_path):

@@ -5,11 +5,10 @@ from fractions import Fraction as Q
 
 import pytest
 
-from weylgrowth import cli
+from weylgrowth import cli, polyhedra
 from weylgrowth.cones import dominant_cone, poly_cone
 from weylgrowth.critical import (CriticalData, _route_a, covector_norm_sq,
                                  critical_data, critical_report,
-                                 solve_delta_prime_max,
                                  solve_mu_gamma_minimization, theta_mu,
                                  vector_norm_sq)
 from weylgrowth.errors import InputError
@@ -28,9 +27,9 @@ def so25():
 def test_two_rho_closed_form():
     R = so25()
     G = build_growth_model(R, dominant_cone(R), [vscale(2, rho(R))])
-    delta, v = solve_delta_prime_max(G)
-    assert abs(delta - math.sqrt(Q(17, 2))) < 1e-12
     cd = critical_data(G)
+    delta, v = cd.delta_prime_max, cd.v_gamma
+    assert abs(delta - math.sqrt(Q(17, 2))) < 1e-12
     assert cd.mu_gamma_exact == rho(R)
     assert cd.status == "positive"
     # v'_Gamma is the rho direction
@@ -63,11 +62,12 @@ def test_rho_model_trivial():
 def test_negative_model_scan():
     R = so25()
     G = build_growth_model(R, dominant_cone(R), [vscale(Q(1, 2), rho(R))])
-    delta, v = solve_delta_prime_max(G)
+    cd = critical_data(G)
+    delta, v = cd.delta_prime_max, cd.v_gamma
     # sup of -rho/2 over the unit section sits on the (1,0) corner ray
     assert abs(delta + 1.25) < 1e-9
     assert abs(v[0] - 1) < 1e-9 and abs(v[1]) < 1e-9
-    assert critical_data(G).mu_gamma == (0.0, 0.0)
+    assert cd.mu_gamma == (0.0, 0.0)
 
 
 def test_nonpositive_redundant_generators():
@@ -79,9 +79,23 @@ def test_nonpositive_redundant_generators():
     gens = [(1, 0), (1, 1), (2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (5, 2),
             (5, 3)]
     crowded = build_growth_model(R, poly_cone(generators=gens, rank=2), pieces)
-    delta, _ = solve_delta_prime_max(chamber)
-    assert abs(delta + 1 / math.sqrt(2)) < 1e-15
-    assert solve_delta_prime_max(crowded) == solve_delta_prime_max(chamber)
+    a, b = critical_data(chamber), critical_data(crowded)
+    assert abs(a.delta_prime_max + 1 / math.sqrt(2)) < 1e-15
+    assert (b.delta_prime_max, b.v_gamma) == (a.delta_prime_max, a.v_gamma)
+
+
+def test_critical_data_runs_positivity_lp_once(monkeypatch):
+    R = so25()
+    G = build_growth_model(R, dominant_cone(R), [vscale(2, rho(R))])
+    calls = []
+    lp = polyhedra.lp_feasible_eq
+
+    def counted(A, b):
+        calls.append(len(A))
+        return lp(A, b)
+    monkeypatch.setattr(polyhedra, "lp_feasible_eq", counted)
+    assert critical_data(G).status == "positive"
+    assert len(calls) == 1
 
 
 def test_empty_cone():

@@ -20,7 +20,6 @@ from weylgrowth.growth import (
     growth_model_from_json,
     growth_model_to_json,
     iota_vector_matrix,
-    limit_set_dim_bound,
     modified_cone_nonempty,
     modified_limit_cone,
     random_growth_model,
@@ -284,18 +283,6 @@ def test_tent_check():
             if any(mu):
                 mus.append(mu)
         assert tent_check(G, mus)["passed"]
-
-
-def test_limit_set_dim_bound():
-    R = so25()
-    ray = poly_cone(generators=[[2, 1]], rank=2)
-    G = build_growth_model(R, ray, [rho(R)])
-    a1, a2 = R.simple_roots
-    assert limit_set_dim_bound(G, [a1]) == 6.5
-    assert limit_set_dim_bound(G, []) == 0.0
-    ray11 = build_growth_model(R, poly_cone(generators=[[1, 1]], rank=2), [rho(R)])
-    assert limit_set_dim_bound(ray11, [a1]) == POS_INF
-    assert limit_set_dim_bound(ray11, [a2]) == 4.0
 
 
 def test_dominant_iota_classes():

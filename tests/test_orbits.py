@@ -19,7 +19,6 @@ from weylgrowth.orbits import (
     facet_contact_report,
     iota_symmetry_check,
     sample_to_csv,
-    subadditivity_check,
     validate_cartan_sample,
 )
 
@@ -270,13 +269,6 @@ def test_iota_symmetry_cyclic():
 def test_iota_symmetry_free_pair():
     rep = iota_symmetry_check(free_pair_sl2(depth=5))
     assert rep["pairs"] > 300
-    assert rep["failures"] == 0
-
-
-def test_subadditivity_spot_check():
-    rep = subadditivity_check(free_pair_sl2(depth=4), pairs=200, seed=3)
-    assert rep["failures"] == 0
-    rep = subadditivity_check(cyclic3(), pairs=50, seed=1, depth=6)
     assert rep["failures"] == 0
 
 

@@ -1,8 +1,11 @@
+import ast
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
+from weylgrowth import rootsystem
 from weylgrowth.errors import CapExceeded, InputError
 from weylgrowth.rational import dot, identity, is_zero, matvec, vec, vscale, vzero
 from weylgrowth.rootsystem import (
@@ -13,7 +16,6 @@ from weylgrowth.rootsystem import (
     iota_permutation,
     opposition_involution,
     rho,
-    root_system_from_json,
     root_system_to_json,
     strongly_orthogonal_theta,
     vector_action,
@@ -42,6 +44,26 @@ def test_rho_values():
         assert rho(R) == vec([Q(n, 2), Q(n - 2, 2)])
     A1 = build_root_system({"simple_roots": [[1]], "multiplicities": [{"root": [1], "m": 1}]})
     assert rho(A1) == vec(["1/2"])
+
+
+def test_rho_is_memoised():
+    R = build_root_system("b3")
+    assert rho(R) is rho(R)
+
+
+def test_cache_is_indexed_only_inside_memo():
+    # memo is the one cache mechanism: no other code reads or writes _cache[...]
+    offenders = []
+    for path in sorted(Path(rootsystem.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {id(n) for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef) and f.name == "memo"
+                  for n in ast.walk(f)}
+        offenders += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+                      if isinstance(n, ast.Subscript)
+                      and isinstance(n.value, ast.Attribute)
+                      and n.value.attr == "_cache" and id(n) not in inside]
+    assert offenders == []
 
 
 def test_custom_a1():
@@ -234,9 +256,9 @@ def test_json_roundtrip():
     R = build_root_system("so(2,5)")
     obj = root_system_to_json(R)
     assert obj["pos_roots"][0]["m"] in (1, 3)
-    R2 = root_system_from_json({"simple_roots": obj["simple_roots"],
-                                "multiplicities": [{"root": e["root"], "m": e["m"]}
-                                                   for e in obj["pos_roots"]],
-                                "inner_product": obj["inner_product"]})
+    R2 = build_root_system({"simple_roots": obj["simple_roots"],
+                            "multiplicities": [{"root": e["root"], "m": e["m"]}
+                                               for e in obj["pos_roots"]],
+                            "inner_product": obj["inner_product"]})
     assert R2.pos_roots == R.pos_roots
-    assert root_system_from_json({"preset": "b3"}).label == "b3"
+    assert build_root_system({"preset": "b3"}).label == "b3"

@@ -19,7 +19,6 @@ from weylgrowth.verify import (
     deduce_onewall,
     deduce_twowalls,
     invariant_direction,
-    replay_t,
     reproduce_b3_remark,
     run_lemma_check,
 )
@@ -158,21 +157,14 @@ def test_positivity_property_runs():
         assert report["failures"] == []
 
 
-# -- argmax_face and replay_t -------------------------------------------------
-
-
-def test_replay_t_values():
-    R = b2()
-    assert replay_t(R, (1, 0), A1) == Q(1, 4)
-    RA = build_root_system("a2")
-    # the natural step hits the cap for rho, so the 99/100 guard engages
-    assert replay_t(RA, (1, 1), (1, 0)) == Q(99, 100)
+# -- argmax_face -------------------------------------------------------------
 
 
 def test_argmax_face_wall_deformation():
     R = b2()
     mu = (Q(1), Q(0))
-    t = replay_t(R, mu, A1)
+    # the wall step <mu, a> / <a, a + ia> for the long root a = A1
+    t = Q(1, 4)
     lam = tuple(m - t * 2 * a for m, a in zip(mu, A1))
     face = argmax_face(R, mu, lam)
     assert face.generators == ((1, 0),)
