@@ -51,8 +51,7 @@ class PolyCone:
     open_flag: bool = False
 
 
-def poly_cone(generators=None, halfspaces=None, rank=None, open_flag=False,
-              dd_cap=DD_RANK_CAP_DEFAULT):
+def poly_cone(generators=None, halfspaces=None, rank=None, open_flag=False):
     """Validating constructor for PolyCone."""
     gens = tuple(vec(g) for g in generators) if generators is not None else None
     hss = tuple(vec(h) for h in halfspaces) if halfspaces is not None else None
@@ -75,8 +74,8 @@ def poly_cone(generators=None, halfspaces=None, rank=None, open_flag=False,
         bad = [g for g in gens if any(dot(h, g) < 0 for h in hss)]
         if bad:
             raise InputError(f"generator {bad[0]} violates a halfspace")
-        if rank <= dd_cap:
-            for r in extreme_rays(hss, rank, cap=dd_cap):
+        if rank <= DD_RANK_CAP_DEFAULT:
+            for r in extreme_rays(hss, rank):
                 if not conic_member(gens, r):
                     raise InputError(
                         f"halfspace ray {r} is not generated: representations disagree")
@@ -117,12 +116,12 @@ def dominant_cone(R) -> PolyCone:
                      rank=R.rank)
 
 
-def dual_cone(C: PolyCone, dd_cap=DD_RANK_CAP_DEFAULT) -> PolyCone:
-    """{mu : mu(v) >= 0 on C}; generators recovered for rank <= dd_cap."""
+def dual_cone(C: PolyCone) -> PolyCone:
+    """{mu : mu(v) >= 0 on C}; generators recovered for rank <= DD_RANK_CAP_DEFAULT."""
     if C.generators is None:
         raise InputError("dual_cone needs a generator representation")
-    if C.rank <= dd_cap:
-        gens = tuple(extreme_rays(C.generators, C.rank, cap=dd_cap))
+    if C.rank <= DD_RANK_CAP_DEFAULT:
+        gens = tuple(extreme_rays(C.generators, C.rank))
         return PolyCone(rank=C.rank, generators=gens, halfspaces=C.generators)
     return PolyCone(rank=C.rank, generators=None, halfspaces=C.generators)
 

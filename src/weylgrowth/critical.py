@@ -8,9 +8,9 @@ involves a square root.  Route B minimizes the scaled exponent over the
 dominant involution-invariant covectors and serves as a cross-check: it is
 the polar projection, a minimum-norm point in the class coefficients of the
 involution classes of fundamental weights, and is exact as well, so the two
-routes must agree exactly.  The nonpositive branch (delta' <= 0) is read off an
-exact feasibility test and a vertex scan; no quantity comes from a float
-search.
+routes must agree exactly.  The nonpositive branch (delta' <= 0) is read off
+the model's cached limit-cone rays and the vertices of {psi' >= -1}; no
+quantity comes from a float search.
 """
 from __future__ import annotations
 
@@ -20,12 +20,12 @@ from fractions import Fraction as Q
 
 from .cones import chamber_rays
 from .errors import InputError, InternalError
-from .growth import (GrowthIndicator, _with_both_reps, dominant_iota_classes,
+from .growth import (GrowthIndicator, dominant_iota_classes,
                      growth_polytope_vertices, modified_cone_nonempty,
-                     super_level_rows)
-from .polyhedra import lp_feasible_ineq, min_norm_point, vertices_of_polyhedron
+                     recession_rays, super_level_rows)
+from .polyhedra import min_norm_point
 from .rational import dot, matvec, vec, vec_add_scaled, vscale, vsub, vzero
-from .rootsystem import fundamental_weights, memo, rho
+from .rootsystem import fundamental_weights, memo
 
 
 def covector_norm_sq(R, mu):
@@ -55,20 +55,19 @@ def _route_a(G: GrowthIndicator) -> dict:
 
     When the super-level polyhedron {psi' >= 1} is nonempty its minimum-norm
     point v* gives delta' = 1/|v*| and v'_Gamma = v*/|v*| exactly up to the
-    final square root.  Otherwise delta' <= 0 and both come from an exact
-    feasibility test or an exact vertex scan (see _nonpositive_sup).  An
-    empty cone yields -inf and no direction.
+    final square root.  Otherwise delta' <= 0 and both come from the cached
+    limit-cone rays or vertices (see _nonpositive_sup).  An empty cone
+    yields -inf and no direction.
     """
     R = G.root_system
     n = R.rank
-    C = _with_both_reps(G.cone, n)
-    if not C.generators:
+    if not G.cone.generators:
         return {"status": "empty-cone", "delta": float("-inf"), "v_unit": None,
                 "v_exact": None, "mu_exact": vzero(n), "mu": (0.0,) * n}
     if modified_cone_nonempty(G):
         v_star = min_norm_point(*super_level_rows(G), R.gram_inv)
         if v_star is None:
-            raise InternalError("projection disagrees with the feasibility screen")
+            raise InternalError("projection disagrees with the super-level vertices")
         nsq = vector_norm_sq(R, v_star)
         delta = 1 / math.sqrt(nsq)
         mu_exact = vscale(Q(1) / nsq, matvec(R.gram_inv, v_star))
@@ -85,19 +84,17 @@ def _nonpositive_sup(G: GrowthIndicator):
     """sup of psi'(v)/|v| over the cone and a unit vector attaining it,
     for a model with psi' <= 0 on the cone.
 
-    The supremum is 0 when psi' vanishes at some nonzero cone point (rho is
-    positive there, so rho(v) >= 1 rules out the origin).  Otherwise
-    psi' < 0 away from the origin, {v in cone : psi'(v) >= -1} is a
-    polytope, and by homogeneity the supremum is -1/|w| for its vertex w
-    of largest norm.
+    The supremum is 0, attained along the first ray of the closed limit
+    cone {psi' >= 0}, when that cone is nonzero.  Otherwise psi' < 0 away
+    from the origin, {v in cone : psi'(v) >= -1} is a polytope, and by
+    homogeneity the supremum is -1/|w| for its vertex w of largest norm.
     """
     R = G.root_system
-    rows, b = super_level_rows(G)
-    v = lp_feasible_ineq(rows + [rho(R)], [Q(0)] * len(rows) + [Q(1)])
-    if v is not None:
-        return 0.0, _direction(R, v)
-    verts = vertices_of_polyhedron(rows, [-x for x in b])
-    w = max(verts, key=lambda x: vector_norm_sq(R, x))
+    rays = recession_rays(G, True)
+    if rays:
+        return 0.0, _direction(R, rays[0])
+    w = max(growth_polytope_vertices(G, True, -1),
+            key=lambda x: vector_norm_sq(R, x))
     return -1 / math.sqrt(vector_norm_sq(R, w)), _direction(R, w)
 
 
@@ -120,12 +117,10 @@ def solve_mu_gamma_minimization(G: GrowthIndicator):
     """
     R = G.root_system
     n = R.rank
-    if not G.cone.generators or not modified_cone_nonempty(G):
-        return vzero(n)
-    us = dominant_iota_classes(R)
     verts = growth_polytope_vertices(G, True)
     if not verts:
-        raise InternalError("positive exponent but no super-level vertices")
+        return vzero(n)
+    us = dominant_iota_classes(R)
     k = len(us)
     rows = [[Q(int(i == j)) for j in range(k)] for i in range(k)]
     rows.extend([dot(u, w) for u in us] for w in verts)

@@ -73,8 +73,9 @@ _HULL_STYLE = (
 )
 
 
-def figure_svg(geom: dict, size: int = 420) -> str:
-    """Deterministic standalone SVG for the hull geometry."""
+def figure_svg(geom: dict) -> str:
+    """Deterministic standalone 420 x 420 SVG for the hull geometry."""
+    size = 420
     pts = list(geom["gap_hull"])
     for w in geom["wall_hulls"]:
         pts.extend(w["hull"])

@@ -3,9 +3,10 @@
 A model is a finite list of covector pieces; its value at v inside the
 cone is the minimum of the pieces, -infinity outside. The critical
 exponents attached to a functional mu are linear-fractional programs
-over the cone and are solved exactly: the finite case reduces to vertex
-enumeration of {psi' >= 1}, the infinite case to an exact feasibility
-test, the nonpositive case to a vertex scan of an epigraph polytope.
+over the cone and are solved exactly from one cached set of polyhedral
+data per model: the vertices of the level sets {psi' >= 1} and
+{psi' >= -1} and the extreme rays of their common recession cone
+{psi' >= 0}, which is also the closed positive-growth cone.
 """
 
 import random
@@ -23,7 +24,6 @@ from .cones import (
 from .errors import CheckFailure, InputError, InternalError, ModelInvariantError
 from .polyhedra import (
     extreme_rays,
-    lp_feasible_ineq,
     vertices_of_polyhedron,
 )
 from .rational import (
@@ -174,37 +174,40 @@ def evaluate_modified(G: GrowthIndicator, v):
     return val - dot(rho(G.root_system), v)
 
 
-def _shifted_pieces(G, modified):
-    r = rho(G.root_system)
-    if modified:
-        return [vsub(p, r) for p in G.pieces]
-    return list(G.pieces)
-
-
 def modified_limit_cone(G: GrowthIndicator) -> PolyCone:
     """The open subcone where psi' > 0, returned via its closure."""
-    hss = tuple(G.cone.halfspaces) + tuple(_shifted_pieces(G, True))
-    gens = tuple(extreme_rays(hss, G.root_system.rank))
-    return poly_cone(generators=gens, halfspaces=hss, rank=G.root_system.rank,
-                     open_flag=True)
+    rows, _ = super_level_rows(G, True, 0)
+    return PolyCone(rank=G.root_system.rank, generators=recession_rays(G, True),
+                    halfspaces=tuple(rows), open_flag=True)
 
 
-def super_level_rows(G: GrowthIndicator, modified=True):
-    """(A, b) with {v in cone : each piece (minus rho) >= 1} = {A v >= b}."""
-    rows = list(G.cone.halfspaces) + _shifted_pieces(G, modified)
-    return rows, [Q(0)] * len(G.cone.halfspaces) + [Q(1)] * len(G.pieces)
-
-
-@memo("modified_cone_nonempty")
-def modified_cone_nonempty(G: GrowthIndicator) -> bool:
-    """Exact: is there v in the cone with psi'(v) > 0?"""
-    return lp_feasible_ineq(*super_level_rows(G)) is not None
+def super_level_rows(G: GrowthIndicator, modified=True, level=1):
+    """(A, b) with {v in cone : each piece (minus rho) >= level} = {A v >= b}."""
+    r = rho(G.root_system)
+    rows = list(G.cone.halfspaces) + [vsub(p, r) if modified else p
+                                      for p in G.pieces]
+    return rows, [Q(0)] * len(G.cone.halfspaces) + [Q(level)] * len(G.pieces)
 
 
 @memo("growth_polytope_vertices")
-def growth_polytope_vertices(G: GrowthIndicator, modified=True):
-    """Vertices of {v in cone : each piece (minus rho) >= 1}, cached."""
-    return vertices_of_polyhedron(*super_level_rows(G, modified))
+def growth_polytope_vertices(G: GrowthIndicator, modified=True, level=1):
+    """Vertices of {v in cone : each piece (minus rho) >= level}, cached;
+    the cone lies in the chamber, so a nonempty level set has one."""
+    return vertices_of_polyhedron(*super_level_rows(G, modified, level))
+
+
+@memo("recession_rays")
+def recession_rays(G: GrowthIndicator, modified=True):
+    """Extreme rays of K = {v in cone : each piece (minus rho) >= 0}, cached.
+
+    A nonempty level set is the convex hull of its vertices plus K."""
+    rows, _ = super_level_rows(G, modified, 0)
+    return tuple(extreme_rays(rows, G.root_system.rank))
+
+
+def modified_cone_nonempty(G: GrowthIndicator) -> bool:
+    """Exact: is there v in the cone with psi'(v) > 0?"""
+    return bool(growth_polytope_vertices(G, True))
 
 
 @dataclass(frozen=True)
@@ -214,9 +217,10 @@ class DeltaPrime:
     value is an exact Fraction in the finite and attained-nonpositive
     cases, +inf/-inf otherwise. status: "finite" (value > 0),
     "infinite", or "nonpositive". witness: an exact cone vector
-    attaining the supremum (normalized to mu = 1 when finite), None
-    when nothing attains it. certificate: a cone direction proving the
-    infinite case, else None.
+    attaining the supremum, normalized to mu = 1, None when nothing
+    attains it. certificate: in the infinite case a cone point v with
+    psi'(v) >= 1 and mu(v) <= 0 (a vertex of {psi' >= 1} or a point of
+    it on mu = 0), else None.
     """
 
     value: object
@@ -228,49 +232,41 @@ class DeltaPrime:
 def delta_prime(G: GrowthIndicator, mu, modified=True) -> DeltaPrime:
     """sup over the cone of (psi - rho)(v) / mu(v) (or psi/mu), exact.
 
-    Decides the infinite case by exact feasibility; otherwise the
-    supremum is 1 / min of mu over the vertices of {psi' >= 1}, and a
-    nonpositive supremum is read off an epigraph polytope.
+    Reads the cached vertices V of {psi' >= 1} and rays of their
+    recession cone K. With V nonempty the supremum is infinite when mu
+    is <= 0 at a vertex or < 0 on a ray, else 1 / min of mu over V.
+    With V empty psi' <= 0 on the cone: the supremum is 0 when mu is
+    positive on a ray of K, else -1 / max of mu over the vertices of
+    {psi' >= -1} when that maximum is positive, else -inf.
     """
     mu = vec(mu)
     if is_zero(mu):
         raise InputError("the weighting functional must be nonzero")
-    cone_rows = list(G.cone.halfspaces)
-    shifted = _shifted_pieces(G, modified)
-    # unbounded direction: mu <= 0 somewhere the indicator is positive
-    rows = cone_rows + [tuple(-x for x in mu)] + shifted
-    b = [Q(0)] * (len(cone_rows) + 1) + [Q(1)] * len(shifted)
-    ray = lp_feasible_ineq(rows, b)
-    if ray is not None:
-        return DeltaPrime(value=POS_INF, status="infinite", certificate=ray)
     verts = growth_polytope_vertices(G, modified)
+    rays = recession_rays(G, modified)
     if verts:
-        best = None
-        for w in verts:
-            m = dot(mu, w)
-            if best is None or m < best[0]:
-                best = (m, w)
-        m, w = best
+        w = min(verts, key=lambda x: dot(mu, x))
+        m = dot(mu, w)
         if m <= 0:
-            raise InternalError("feasibility screen missed an unbounded direction")
+            return DeltaPrime(value=POS_INF, status="infinite", certificate=w)
+        for r in rays:
+            if dot(mu, r) < 0:
+                # a point of {psi' >= 1} on the hyperplane mu = 0
+                cert = vec_add_scaled(w, m / -dot(mu, r), r)
+                return DeltaPrime(value=POS_INF, status="infinite",
+                                  certificate=cert)
         return DeltaPrime(value=1 / m, status="finite",
                           witness=vscale(1 / m, w))
-    # no point reaches value 1: the supremum is <= 0; scan the epigraph
-    # polytope over the slice {mu = 1}
-    n = G.root_system.rank
-    rows = [tuple(h) + (Q(0),) for h in cone_rows]
-    rows.append(tuple(mu) + (Q(0),))
-    rows.append(tuple(-x for x in mu) + (Q(0),))
-    rows.extend(tuple(p) + (Q(-1),) for p in shifted)
-    b = [Q(0)] * len(cone_rows) + [Q(1), Q(-1)] + [Q(0)] * len(shifted)
-    everts = vertices_of_polyhedron(rows, b, cap=n + 1)
-    if not everts:
+    for r in rays:
+        if dot(mu, r) > 0:
+            return DeltaPrime(value=Q(0), status="nonpositive",
+                              witness=vscale(1 / dot(mu, r), r))
+    w = max(growth_polytope_vertices(G, modified, -1), key=lambda x: dot(mu, x))
+    m = dot(mu, w)
+    if m <= 0:
         return DeltaPrime(value=NEG_INF, status="nonpositive")
-    best = max(everts, key=lambda vt: vt[n])
-    val = best[n]
-    if val > 0:
-        raise InternalError("sign analysis disagrees with the vertex scan")
-    return DeltaPrime(value=val, status="nonpositive", witness=best[:n])
+    return DeltaPrime(value=-1 / m, status="nonpositive",
+                      witness=vscale(1 / m, w))
 
 
 def exponent_sandwich(G: GrowthIndicator, mu):
@@ -286,14 +282,9 @@ def exponent_sandwich(G: GrowthIndicator, mu):
     if not all(dot(mu, g) > 0 for g in G.cone.generators):
         raise InputError("sandwich needs mu positive on the cone")
     dp = delta_prime(G, mu).value
-    n = G.root_system.rank
-    rows = list(G.cone.halfspaces) + [tuple(mu), tuple(-x for x in mu)]
-    b = [Q(0)] * len(G.cone.halfspaces) + [Q(1), Q(-1)]
-    verts = vertices_of_polyhedron(rows, b, cap=n)
-    if not verts:
-        raise InputError("the slice mu = 1 misses the cone")
+    # the slice is the convex hull of the points g / mu(g)
     r = rho(G.root_system)
-    vals = [dot(r, w) for w in verts]
+    vals = [dot(r, g) / dot(mu, g) for g in G.cone.generators]
     lower, upper = dp - min(vals), dp + max(vals)
     d = delta_prime(G, mu, modified=False).value
     if not lower <= d <= upper:
@@ -302,17 +293,17 @@ def exponent_sandwich(G: GrowthIndicator, mu):
     return lower, upper
 
 
-def tent_check(G: GrowthIndicator, mu_samples, slack=Q(1, 10**8), seed=0,
-               extra_samples=200) -> dict:
+def tent_check(G: GrowthIndicator, mu_samples, slack=Q(1, 10**8), seed=0) -> dict:
     """Verify psi'(v) <= delta'_mu mu(v) + slack across the cone.
 
-    True for every model by construction of delta'; a failure means a
-    solver bug. Infinite exponents pass vacuously.
+    The points are the cone generators and 200 seeded cone points. True
+    for every model by construction of delta'; a failure means a solver
+    bug. Infinite exponents pass vacuously.
     """
     rng = random.Random(seed)
     gens = G.cone.generators
     points = list(gens)
-    for _ in range(extra_samples):
+    for _ in range(200):
         cs = [Q(rng.randint(0, 6), rng.randint(1, 3)) for _ in gens]
         v = vec([0] * G.root_system.rank)
         for c, g in zip(cs, gens):
@@ -356,7 +347,7 @@ def dominant_iota_classes(R):
     return tuple(out)
 
 
-def random_growth_model(R, rng, iota_samples=200) -> GrowthIndicator:
+def random_growth_model(R, rng) -> GrowthIndicator:
     """A seeded random valid model with a nonempty positivity cone.
 
     Pieces: one scaled double half-sum with factor in (1/2, 1], plus
@@ -390,7 +381,7 @@ def random_growth_model(R, rng, iota_samples=200) -> GrowthIndicator:
             gens = list(dict.fromkeys(gens))
             hss = tuple(extreme_rays(gens, R.rank))
             cone = poly_cone(generators=gens, halfspaces=hss, rank=R.rank)
-        G = build_growth_model(R, cone, pieces, iota_samples=iota_samples,
+        G = build_growth_model(R, cone, pieces, iota_samples=200,
                                seed=rng.randint(0, 10**6))
         if modified_cone_nonempty(G):
             return G

@@ -18,6 +18,7 @@ from .errors import CapExceeded, InputError
 ORBIT_CAP_DEFAULT = 10**6
 DEDUPE_TOL_DEFAULT = 1e-6
 UNIMODULAR_TOL = 1e-8
+CHECK_TOL = 1e-6
 
 _AMBIENTS = {f"sl{n}r": n for n in range(2, 7)}
 
@@ -79,9 +80,15 @@ def build_group_spec(obj) -> MatrixGroupSpec:
         raise InputError("group spec must be a mapping or a MatrixGroupSpec")
     ambient = _parse_ambient(obj.get("ambient", ""))
     n = _AMBIENTS[ambient]
+    entries = obj.get("generators", [])
+    if not isinstance(entries, (list, tuple)):
+        raise InputError("generators must be a list of matrices")
     gens = []
-    for g in obj.get("generators", ()):
-        A = np.asarray(g, dtype=float)
+    for g in entries:
+        try:
+            A = np.array(g, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            A = np.empty(0)  # ragged or non-numeric: fails the shape check
         if A.shape != (n, n) or not np.all(np.isfinite(A)):
             raise InputError(f"generators must be finite {n}x{n} matrices")
         d = float(np.linalg.det(A))
@@ -95,11 +102,11 @@ def build_group_spec(obj) -> MatrixGroupSpec:
             raise InputError("generator is not unimodular after renormalization")
         gens.append(tuple(tuple(float(x) for x in row) for row in A))
     mwl = obj.get("max_word_length", 8)
-    if not isinstance(mwl, int) or mwl < 1:
+    if isinstance(mwl, bool) or not isinstance(mwl, int) or mwl < 1:
         raise InputError("max_word_length must be a positive integer")
-    tol = float(obj.get("dedupe_tolerance", DEDUPE_TOL_DEFAULT))
-    if not 0 < tol < 1:
-        raise InputError("dedupe_tolerance must sit strictly between 0 and 1")
+    tol = obj.get("dedupe_tolerance", DEDUPE_TOL_DEFAULT)
+    if not isinstance(tol, float) or not 0 < tol < 1:
+        raise InputError("dedupe_tolerance must be a float in (0, 1)")
     return MatrixGroupSpec(ambient=ambient, generators=tuple(gens),
                            max_word_length=mwl, dedupe_tolerance=tol)
 
@@ -177,14 +184,14 @@ def enumerate_orbit(spec, cap: int = ORBIT_CAP_DEFAULT) -> CartanSample:
     return CartanSample(points=tuple(points), rank=n - 1, dropped=dropped)
 
 
-def validate_cartan_sample(S: CartanSample, tol: float = 1e-6) -> bool:
-    """Dominance and trace-zero invariants of every point, within tol."""
+def validate_cartan_sample(S: CartanSample) -> bool:
+    """Dominance and trace-zero invariants of every point, within CHECK_TOL."""
     for p, _ in S.points:
         if len(p) != S.rank + 1:
             raise InputError("point length disagrees with the sample rank")
-        if abs(sum(p)) > tol:
+        if abs(sum(p)) > CHECK_TOL:
             raise InputError(f"point {p} is not trace free")
-        if any(p[i] < p[i + 1] - tol for i in range(len(p) - 1)):
+        if any(p[i] < p[i + 1] - CHECK_TOL for i in range(len(p) - 1)):
             raise InputError(f"point {p} is not sorted decreasing")
     return True
 
@@ -283,15 +290,14 @@ def estimate_exponent(S: CartanSample, mu) -> dict:
     }
 
 
-def iota_symmetry_check(spec, depth: int | None = None, tol: float = 1e-6,
-                        cap: int = ORBIT_CAP_DEFAULT) -> dict:
+def iota_symmetry_check(spec, depth: int | None = None) -> dict:
     """Projection of the inverse word against the reversed negation.
 
     Walks every reduced word to the requested depth, computing the word
     product and the inverse word's product independently, and compares
     the inverse's projection with the coordinate reversal and negation
-    of the word's.  That reversal is the opposition involution in the
-    trace-zero model.
+    of the word's, within CHECK_TOL.  That reversal is the opposition
+    involution in the trace-zero model.  Capped at ORBIT_CAP_DEFAULT.
     """
     spec = build_group_spec(spec)
     depth = spec.max_word_length if depth is None else depth
@@ -311,7 +317,7 @@ def iota_symmetry_check(spec, depth: int | None = None, tol: float = 1e-6,
                 expected = tuple(-x for x in reversed(mu))
                 dev = max(abs(a - b) for a, b in zip(nu, expected))
                 worst = max(worst, dev)
-                if dev > tol:
+                if dev > CHECK_TOL:
                     failures += 1
         if length == depth:
             continue
@@ -321,10 +327,11 @@ def iota_symmetry_check(spec, depth: int | None = None, tol: float = 1e-6,
             inv_j = (j + m) % (2 * m)
             # inverse of w*l is l^-1 * w^-1
             stack.append((P @ L, mats[inv_j] @ Pinv, j, length + 1))
-            if len(stack) + pairs > cap:
-                raise CapExceeded("involution check", len(stack) + pairs, cap)
+            if len(stack) + pairs > ORBIT_CAP_DEFAULT:
+                raise CapExceeded("involution check", len(stack) + pairs,
+                                  ORBIT_CAP_DEFAULT)
     return {"pairs": pairs, "failures": failures,
-            "max_deviation": float(worst), "tolerance": tol}
+            "max_deviation": float(worst), "tolerance": CHECK_TOL}
 
 
 def facet_contact_report(S: CartanSample, tol: float = 1e-6) -> dict:

@@ -1,8 +1,8 @@
 """Exact polyhedral computations over the rationals.
 
 Ray and vertex enumeration work by subset enumeration, which is
-exponential in the ambient dimension, so every entry point takes an
-explicit rank cap. That is fine here: the geometry this package needs
+exponential in the ambient dimension, so every entry point has a rank
+cap. That is fine here: the geometry this package needs
 lives in rank <= 4. All vectors are Fraction tuples paired by the plain
 dot product.
 """
@@ -56,15 +56,15 @@ def _pointed_rays(rows, n):
     return list(rays)
 
 
-def extreme_rays(halfspaces, n, cap=DD_RANK_CAP_DEFAULT):
+def extreme_rays(halfspaces, n):
     """Generators of the cone {x : h(x) >= 0 for every h in halfspaces}.
 
     Returns primitive integer rays. A cone with lineality contributes a
     +/- pair for each lineality direction plus the extreme rays of its
     pointed part, so the returned list always generates the cone.
     """
-    if n > cap:
-        raise CapExceeded("ray enumeration rank", n, cap)
+    if n > DD_RANK_CAP_DEFAULT:
+        raise CapExceeded("ray enumeration rank", n, DD_RANK_CAP_DEFAULT)
     rows = [h for h in halfspaces if not is_zero(h)]
     if not rows:
         out = []
@@ -89,7 +89,7 @@ def extreme_rays(halfspaces, n, cap=DD_RANK_CAP_DEFAULT):
     return out
 
 
-def vertices_of_polyhedron(A, b, cap=DD_RANK_CAP_DEFAULT):
+def vertices_of_polyhedron(A, b):
     """All vertices of {x : A x >= b}, exact.
 
     The polyhedron may be unbounded; an empty result means it has no
@@ -98,8 +98,8 @@ def vertices_of_polyhedron(A, b, cap=DD_RANK_CAP_DEFAULT):
     if not A:
         return ()
     n = len(A[0])
-    if n > cap:
-        raise CapExceeded("vertex enumeration rank", n, cap)
+    if n > DD_RANK_CAP_DEFAULT:
+        raise CapExceeded("vertex enumeration rank", n, DD_RANK_CAP_DEFAULT)
     out = {}
     for S in combinations(range(len(A)), n):
         x = solve_unique([list(A[i]) for i in S], [b[i] for i in S])
@@ -188,7 +188,7 @@ def conic_member(gens, v):
     return lp_feasible_eq(A, list(v)) is not None
 
 
-def min_norm_point(A, b, quad, cap=DD_RANK_CAP_DEFAULT + 2):
+def min_norm_point(A, b, quad):
     """Minimize x^T quad x over {x : Ax >= b}; quad symmetric PD.
 
     Exact active-set enumeration: a candidate passing the KKT sign and
@@ -198,8 +198,8 @@ def min_norm_point(A, b, quad, cap=DD_RANK_CAP_DEFAULT + 2):
     """
     m = len(A)
     n = len(quad)
-    if n > cap:
-        raise CapExceeded("projection rank", n, cap)
+    if n > DD_RANK_CAP_DEFAULT + 2:
+        raise CapExceeded("projection rank", n, DD_RANK_CAP_DEFAULT + 2)
     for size in range(0, n + 1):
         for S in combinations(range(m), size):
             sub = [A[i] for i in S]

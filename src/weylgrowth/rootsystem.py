@@ -10,6 +10,7 @@ the identification covector -> vector is mu -> G mu.
 from __future__ import annotations
 
 import functools
+import inspect
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
@@ -43,15 +44,22 @@ WEYL_CAP_DEFAULT = 2**20
 def memo(name):
     """Memoise fn(obj, *args, **kw) in obj._cache, the one cache mechanism.
 
-    The key is name for a call without arguments, else (name, *args,
-    *sorted keyword items), so a call spelled the same way hits the same
-    entry.  Cached values are immutable derived data shared by every
-    caller; a call that raises caches nothing.
+    The key is name for a function of obj alone, else (name, *the other
+    arguments bound to fn's signature with defaults applied), so f(G) and
+    f(G, modified=True) share one entry.  Cached values are immutable
+    derived data shared by every caller; a call that raises caches nothing.
     """
     def decorate(fn):
+        sig = inspect.signature(fn)
+        bare = len(sig.parameters) == 1
+
         @functools.wraps(fn)
         def cached(obj, *args, **kw):
-            key = (name, *args, *sorted(kw.items())) if args or kw else name
+            key = name
+            if args or kw or not bare:
+                bound = sig.bind(obj, *args, **kw)
+                bound.apply_defaults()
+                key = (name, *tuple(bound.arguments.values())[1:])
             if key not in obj._cache:
                 obj._cache[key] = fn(obj, *args, **kw)
             return obj._cache[key]
@@ -477,21 +485,12 @@ def dominant_representative(R: RootSystem, lam: Vec) -> tuple[Vec, Mat]:
 
 @memo("opposition_involution")
 def opposition_involution(R: RootSystem) -> Mat:
-    """iota = -w0 as a matrix on covector coordinates."""
+    """iota = -w0 as a matrix on covector coordinates; w0 carries the
+    antidominant -(sum of the fundamental weights) into the chamber."""
     lam = vzero(R.rank)
     for wvec in fundamental_weights(R):
-        lam = vadd(lam, wvec)
-    x = lam
-    w = identity(R.rank)
-    guard = 10 * len(R.pos_roots) + 10
-    for _ in range(guard):
-        a = next((a for a in R.simple_roots if R.ip(x, a) > 0), None)
-        if a is None:
-            break  # x is antidominant, so w is the longest element
-        x = R.reflect(x, a)
-        w = matmul(reflection_matrix(R, a), w)
-    else:
-        raise InternalError("antidominant descent failed to terminate")
+        lam = vsub(lam, wvec)
+    _, w = dominant_representative(R, lam)
     pos = {r for r, _ in R.pos_roots}
     if {matvec(w, r) for r in pos} != {tuple(-c for c in r) for r in pos}:
         raise InternalError("longest element search failed: w0(pos) != -pos")

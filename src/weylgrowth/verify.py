@@ -478,10 +478,8 @@ def _batch_posofweight(R, samples, seed):
     return samples, failures
 
 
-def _random_her_covector(R, rng, classes=None):
+def _random_her_covector(R, rng, classes):
     """Nonnegative rational combination of the invariant weight directions."""
-    if classes is None:
-        classes = dominant_iota_classes(R)
     mu = vzero(R.rank)
     for u in classes:
         if rng.random() < 0.25:

@@ -1,8 +1,13 @@
 """End-to-end CLI runs: output shapes, frozen fixture values, exit codes."""
 
+import contextlib
+import io
 import json
+import os
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylgrowth import cli, critical
 from weylgrowth.cones import poly_cone
@@ -261,6 +266,109 @@ def test_orbit_bad_mu(capsys, tmp_path):
         "max_word_length": 4}))
     code, _, err = run(capsys, ["orbit", str(gens), "--mu", "1,x,0"])
     assert code == 2 and "non-rational entry" in err
+
+
+CYCLIC_SPEC = {"ambient": "sl3r",
+               "generators": [[[2.0, 0, 0], [0, 1, 0], [0, 0, 0.5]]],
+               "max_word_length": 4}
+
+
+@pytest.mark.parametrize("change", [
+    {"generators": 5},
+    {"generators": [[[2.0, 0, 0], [0, "x", 0], [0, 0, 0.5]]]},
+    {"generators": [[[2.0, 0, 0], [0, 1], [0, 0, 0.5]]]},
+    {"dedupe_tolerance": "abc"},
+    {"dedupe_tolerance": None},
+    {"max_word_length": True},
+], ids=["generators-int", "entry-x", "ragged", "tolerance-abc",
+        "tolerance-null", "word-length-true"])
+def test_orbit_malformed_spec_exits_2(capsys, tmp_path, change):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(dict(CYCLIC_SPEC, **change)))
+    code, _, err = run(capsys, ["orbit", str(spec)])
+    assert code == 2 and err.startswith("input error:")
+    assert "Traceback" not in err
+
+
+def _leaves(doc, path=()):
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from _leaves(v, path + (k,))
+    elif isinstance(doc, list) and doc:
+        for i, v in enumerate(doc):
+            yield from _leaves(v, path + (i,))
+    else:
+        yield path
+
+
+def _replace(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# bounded leaf values; the text alphabet spells no preset name, so no
+# mutation turns the model into a large root system
+LEAF = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-9, 9), st.integers(-2, 9)),
+    st.text(alphabet="xy/.- ", max_size=4),
+    st.none(),
+    st.booleans(),
+    st.lists(st.integers(-3, 3), max_size=4),
+    st.just({}),
+)
+
+
+def _mutations(doc):
+    paths = sorted(_leaves(doc), key=repr)
+    return st.lists(st.tuples(st.sampled_from(paths), LEAF), min_size=1,
+                    max_size=3)
+
+
+def _main_on_mutation(tmp_path_factory, doc, mutations, argv):
+    for path, value in mutations:
+        doc = _replace(doc, path, value)
+    folder = tmp_path_factory.mktemp("mutated")
+    cfg = folder / "cfg.json"
+    cfg.write_text(json.dumps({"orbit_cap": 2000}))
+    target = folder / "input.json"
+    target.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"WEYLGROWTH_CONFIG": str(cfg)}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([argv[0], str(target)] + argv[1:])
+    assert code in (0, 1, 2, 3), (doc, code, err.getvalue())
+    assert "Traceback" not in err.getvalue() + out.getvalue()
+
+
+B2_MODEL = {"root_system": "b2",
+            "cone": {"generators": [[3, 1], [5, 2]],
+                     "halfspaces": [[-1, 3], [2, -5]], "open": False},
+            "pieces": [["27/10", "9/10"], [3, 2], ["9/2", "5/2"]],
+            "mu_list": [[1, 0], ["1/2", 1]]}
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(mutations=_mutations(B2_MODEL))
+def test_mutated_model_exits_with_documented_code(tmp_path_factory, mutations):
+    _main_on_mutation(tmp_path_factory, B2_MODEL, mutations,
+                      ["growth-solve", "--consistency"])
+
+
+ORBIT_SPEC = dict(CYCLIC_SPEC, dedupe_tolerance=1e-6)
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(mutations=_mutations(ORBIT_SPEC))
+def test_mutated_orbit_spec_exits_with_documented_code(tmp_path_factory,
+                                                       mutations):
+    _main_on_mutation(tmp_path_factory, ORBIT_SPEC, mutations,
+                      ["orbit", "--radius-cut", "1"])
 
 
 def test_config_file_env(capsys, tmp_path, monkeypatch):

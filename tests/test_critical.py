@@ -7,14 +7,15 @@ import pytest
 
 from weylgrowth import cli, polyhedra
 from weylgrowth.cones import dominant_cone, poly_cone
-from weylgrowth.critical import (CriticalData, _route_a, covector_norm_sq,
-                                 critical_data, critical_report,
+from weylgrowth.critical import (CriticalData, _direction, _route_a,
+                                 covector_norm_sq, critical_data, critical_report,
                                  solve_mu_gamma_minimization, theta_mu,
                                  vector_norm_sq)
 from weylgrowth.errors import InputError
 from weylgrowth.growth import (build_growth_model, evaluate_modified,
                                growth_model_from_json,
-                               growth_polytope_vertices, random_growth_model)
+                               growth_polytope_vertices, modified_limit_cone,
+                               random_growth_model)
 from weylgrowth.rational import dot, vadd, vec, vscale
 from weylgrowth.rootsystem import (apply_iota, build_root_system,
                                    fundamental_weights, rho)
@@ -59,6 +60,18 @@ def test_rho_model_trivial():
     assert cd.route_agreement == 0.0
 
 
+def test_zero_exponent_direction_is_first_limit_cone_ray():
+    # psi' = 0 on the whole chamber: every unit vector attains the
+    # supremum 0, and v'_Gamma is the first ray of the closed limit cone
+    R = so25()
+    G = build_growth_model(R, dominant_cone(R), [rho(R)])
+    ray = modified_limit_cone(G).generators[0]
+    assert ray == vec([1, 1])
+    v = critical_data(G).v_gamma
+    assert v == _direction(R, ray)
+    assert all(abs(c - 1 / math.sqrt(2)) < 1e-15 for c in v)
+
+
 def test_negative_model_scan():
     R = so25()
     G = build_growth_model(R, dominant_cone(R), [vscale(Q(1, 2), rho(R))])
@@ -84,18 +97,23 @@ def test_nonpositive_redundant_generators():
     assert (b.delta_prime_max, b.v_gamma) == (a.delta_prime_max, a.v_gamma)
 
 
-def test_critical_data_runs_positivity_lp_once(monkeypatch):
+def test_critical_data_runs_no_lp(monkeypatch):
+    # both branches read the cached vertices and rays; no LP screens them
     R = so25()
-    G = build_growth_model(R, dominant_cone(R), [vscale(2, rho(R))])
     calls = []
     lp = polyhedra.lp_feasible_eq
 
     def counted(A, b):
         calls.append(len(A))
         return lp(A, b)
-    monkeypatch.setattr(polyhedra, "lp_feasible_eq", counted)
-    assert critical_data(G).status == "positive"
-    assert len(calls) == 1
+    for pieces, status in (([vscale(2, rho(R))], "positive"),
+                           ([rho(R)], "nonpositive"),
+                           ([vscale(Q(1, 2), rho(R))], "nonpositive")):
+        G = build_growth_model(R, dominant_cone(R), pieces)
+        monkeypatch.setattr(polyhedra, "lp_feasible_eq", counted)
+        assert critical_data(G).status == status
+        monkeypatch.undo()
+    assert calls == []
 
 
 def test_empty_cone():

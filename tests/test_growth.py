@@ -19,13 +19,15 @@ from weylgrowth.growth import (
     exponent_sandwich,
     growth_model_from_json,
     growth_model_to_json,
+    growth_polytope_vertices,
     iota_vector_matrix,
     modified_cone_nonempty,
     modified_limit_cone,
     random_growth_model,
     tent_check,
 )
-from weylgrowth.rational import dot, matvec, to_float, vadd, vec, vscale
+from weylgrowth.polyhedra import lp_feasible_ineq, vertices_of_polyhedron
+from weylgrowth.rational import dot, matvec, to_float, vadd, vec, vscale, vsub
 from weylgrowth.rootsystem import build_root_system, fundamental_weights, rho
 
 
@@ -105,6 +107,15 @@ def test_modified_limit_cone():
     assert modified_cone_nonempty(G2)
     G3 = build_growth_model(R, dominant_cone(R), [[3, 1]])
     assert set(modified_limit_cone(G3).generators) == {vec([1, 0]), vec([1, 1])}
+
+
+def test_cache_key_ignores_default_spelling():
+    G = two_rho_model()
+    verts = growth_polytope_vertices(G)
+    assert growth_polytope_vertices(G, True) is verts
+    assert growth_polytope_vertices(G, modified=True) is verts
+    assert growth_polytope_vertices(G, level=1) is verts
+    assert list(G._cache) == [("growth_polytope_vertices", True, 1)]
 
 
 def test_delta_prime_rho_model_is_zero():
@@ -223,6 +234,65 @@ def test_delta_prime_matches_ray_grid():
         assert dp.status == "finite"
         brute = _ray_grid_sup(G, mu)
         assert abs(brute - float(dp.value)) <= 1e-6 * max(1.0, abs(brute))
+
+
+def _oracle_delta_prime(G, mu, modified=True):
+    """(value, witness) by the LP screen and epigraph scan delta_prime
+    used before it read cached vertices and rays; witness None when the
+    value is infinite or not attained."""
+    cone = list(G.cone.halfspaces)
+    r = rho(G.root_system)
+    shifted = [vsub(p, r) if modified else p for p in G.pieces]
+    zeros, ones = [Q(0)] * len(cone), [Q(1)] * len(shifted)
+    if lp_feasible_ineq(cone + [vscale(-1, mu)] + shifted,
+                        zeros + [Q(0)] + ones) is not None:
+        return POS_INF, None
+    verts = vertices_of_polyhedron(cone + shifted, zeros + ones)
+    if verts:
+        w = min(verts, key=lambda x: dot(mu, x))
+        return 1 / dot(mu, w), vscale(1 / dot(mu, w), w)
+    # the supremum is <= 0: maximise t over v in the cone with mu(v) = 1
+    # and each shifted piece >= t
+    n = G.root_system.rank
+    rows = [tuple(h) + (Q(0),) for h in cone]
+    rows += [tuple(mu) + (Q(0),), tuple(-x for x in mu) + (Q(0),)]
+    rows += [tuple(p) + (Q(-1),) for p in shifted]
+    everts = vertices_of_polyhedron(rows, zeros + [Q(1), Q(-1)]
+                                    + [Q(0)] * len(shifted))
+    if not everts:
+        return NEG_INF, None
+    best = max(everts, key=lambda vt: vt[n])
+    return best[n], best[:n]
+
+
+def test_delta_prime_matches_lp_and_epigraph_oracle():
+    rng = random.Random(11)
+    checked = {"finite": 0, "infinite": 0, "nonpositive": 0}
+    for name in ("b2", "g2", "a3", "b3"):
+        R = build_root_system(name)
+        r = rho(R)
+        ws = fundamental_weights(R)
+        for seed in range(3):
+            G = random_growth_model(R, random.Random(seed))
+            models = [G] + [build_growth_model(R, G.cone, pieces) for pieces in (
+                [vscale(Q(1, 2), p) for p in G.pieces],
+                [r] + list(G.pieces))]
+            mus = [vec(w) for w in ws] + [vec(a) for a in R.simple_roots]
+            mus += [vec(rng.randint(-3, 5) for _ in range(R.rank))
+                    for _ in range(4)]
+            for H in models:
+                for mu in (m for m in mus if any(m)):
+                    for modified in (True, False):
+                        dp = delta_prime(H, mu, modified=modified)
+                        assert (dp.value, dp.witness) == _oracle_delta_prime(
+                            H, mu, modified), (name, seed, mu, modified)
+                        checked[dp.status] += 1
+                        if dp.status == "infinite":
+                            c = dp.certificate
+                            val = (evaluate_modified(H, c) if modified
+                                   else evaluate(H, c))
+                            assert dot(mu, c) <= 0 and val > 0
+    assert min(checked.values()) > 0, checked
 
 
 def test_exponent_sandwich():

@@ -49,6 +49,8 @@ def test_rho_values():
 def test_rho_is_memoised():
     R = build_root_system("b3")
     assert rho(R) is rho(R)
+    # a function of the root system alone keeps the bare key
+    assert "rho" in R._cache
 
 
 def test_cache_is_indexed_only_inside_memo():
