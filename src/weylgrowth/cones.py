@@ -184,9 +184,10 @@ def conv_hull_member_enumeration(R, lam, mu) -> bool:
     if not R.is_dominant_covector(mu):
         raise InputError("conv_hull_member needs a dominant reference covector")
     rays = chamber_rays(R)
+    bounds = [(v, dot(mu, v)) for v in rays]
     for w in weyl_group(R):
         wl = matvec(w, lam)
-        if any(dot(wl, v) > dot(mu, v) for v in rays):
+        if any(dot(wl, v) > b for v, b in bounds):
             return False
     return True
 

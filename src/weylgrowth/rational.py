@@ -2,12 +2,15 @@
 
 Vectors are tuples of Fraction, matrices are tuples of row tuples.  Everything
 here is exact; floats never enter except through the explicit to_float helpers.
+Inside, dot products and eliminations run on Python ints (numerators over a
+common denominator, fraction-free in the manner of Bareiss 1968); every scalar
+they return is a Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, lcm
 
 Vec = tuple
 Mat = tuple
@@ -66,8 +69,21 @@ def vscale(c, u: Vec) -> Vec:
     return tuple(c * a for a in u)
 
 
-def dot(u: Vec, v: Vec):
-    return sum((a * b for a, b in zip(u, v, strict=True)), start=Q(0))
+def dot(u: Vec, v: Vec) -> Q:
+    """u . v for entries of Fraction or int: the integer products are summed
+    over one running denominator and a single Fraction is built at the end."""
+    num, den = 0, 1
+    for a, b in zip(u, v, strict=True):
+        p = a.numerator * b.numerator
+        if p:
+            q = a.denominator * b.denominator
+            if q == den:
+                num += p
+            else:
+                g = gcd(den, q)
+                num = num * (q // g) + p * (den // g)
+                den = den // g * q
+    return Q(num, den)
 
 
 def is_zero(u: Vec) -> bool:
@@ -96,36 +112,52 @@ def matmul(A: Mat, B: Mat) -> Mat:
     return tuple(tuple(dot(row, col) for col in Bt) for row in A)
 
 
-def _rref(rows: list[list]) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot column list)."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
+def _cleared(row) -> tuple[int, list[int]]:
+    """(L, L * row) for L the lcm of the row's denominators; L * row is integral."""
+    L = lcm(*(x.denominator for x in row))
+    return L, [x.numerator * (L // x.denominator) for x in row]
+
+
+def _primitive_ints(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _rref(rows) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form: (its nonzero rows, in Fraction, pivot columns).
+
+    The reduced form does not change under row scaling, so each row is
+    cleared of denominators and eliminated over the integers, kept
+    primitive, and each pivot row is divided by its pivot once at the end.
+    """
+    M = [_primitive_ints(_cleared(row)[1]) for row in rows]
+    m = len(M)
+    n = len(M[0]) if m else 0
     pivots = []
     r = 0
     for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        piv = next((i for i in range(r, m) if M[i][c]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        M[r], M[piv] = M[piv], M[r]
+        top = M[r]
         for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            f = M[i][c]
+            if i != r and f:
+                g = gcd(top[c], f)
+                a, b = top[c] // g, f // g
+                M[i] = _primitive_ints([a * x - b * y for x, y in zip(M[i], top)])
         pivots.append(c)
         r += 1
         if r == m:
             break
-    return rows, pivots
+    zero = Q(0)
+    out = [[Q(x, M[i][c]) if x else zero for x in M[i]] for i, c in enumerate(pivots)]
+    return out, pivots
 
 
 def rank(A) -> int:
-    rows = [list(r) for r in A]
-    if not rows:
-        return 0
-    _, pivots = _rref(rows)
-    return len(pivots)
+    return len(_rref(A)[1])
 
 
 def solve(A, b) -> tuple[Vec | None, tuple[Vec, ...]]:
@@ -137,8 +169,7 @@ def solve(A, b) -> tuple[Vec | None, tuple[Vec, ...]]:
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    aug = [list(row) + [bi] for row, bi in zip(A, b, strict=True)]
-    aug, pivots = _rref(aug)
+    aug, pivots = _rref([(*row, bi) for row, bi in zip(A, b, strict=True)])
     # inconsistent iff a pivot lands in the augmented column
     if n in pivots:
         return None, ()
@@ -166,45 +197,68 @@ def solve_unique(A, b) -> Vec | None:
 
 def inverse(A: Mat) -> Mat:
     n = len(A)
-    aug = [list(row) + list(identity(n)[i]) for i, row in enumerate(A)]
-    aug, pivots = _rref(aug)
+    aug, pivots = _rref([(*row, *e) for row, e in zip(A, identity(n))])
     if pivots != list(range(n)):
         raise ValueError("matrix not invertible")
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def det(A: Mat) -> Q:
-    rows = [list(r) for r in A]
-    n = len(rows)
-    d = Q(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
+def _bareiss(M: list[list[int]]):
+    """Fraction-free elimination of a square integer matrix, in place.
+
+    Yields (pivot, swapped) for each column before eliminating below it;
+    every division is exact (Bareiss 1968).  Until the first row swap the
+    k-th pivot is the k-th leading principal minor, and the last pivot is
+    the determinant up to the sign of the swaps.  A column with no pivot
+    yields (0, False) and ends the elimination.
+    """
+    n = len(M)
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if M[i][k]), None)
         if piv is None:
+            yield 0, False
+            return
+        M[k], M[piv] = M[piv], M[k]
+        top = M[k]
+        p = top[k]
+        yield p, piv != k
+        for i in range(k + 1, n):
+            f = M[i][k]
+            M[i] = [(x * p - f * y) // prev for x, y in zip(M[i], top)]
+        prev = p
+
+
+def det(A: Mat) -> Q:
+    """Exact determinant, by Bareiss elimination of the denominator-cleared rows."""
+    scale, M = 1, []
+    for row in A:
+        L, ints = _cleared(row)
+        scale *= L
+        M.append(ints)
+    sign, last = 1, 1
+    for p, swapped in _bareiss(M):
+        if not p:
             return Q(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            d = -d
-        d *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return d
+        if swapped:
+            sign = -sign
+        last = p
+    return Q(sign * last, scale)
 
 
 def is_positive_definite(A: Mat) -> bool:
-    """Sylvester criterion on leading principal minors, exact."""
+    """Sylvester criterion, exact: every leading principal minor is positive.
+
+    Clearing a row's denominators scales the minors by positive factors, so
+    the pivots of one elimination without row swaps carry their signs.
+    """
     n = len(A)
     if any(len(r) != n for r in A):
         return False
     if transpose(A) != A:
         return False
-    for k in range(1, n + 1):
-        minor = tuple(tuple(A[i][j] for j in range(k)) for i in range(k))
-        if det(minor) <= 0:
-            return False
-    return True
+    M = [_cleared(row)[1] for row in A]
+    return all(p > 0 and not swapped for p, swapped in _bareiss(M))
 
 
 def primitive(v: Vec) -> Vec:
@@ -214,14 +268,7 @@ def primitive(v: Vec) -> Vec:
     """
     if is_zero(v):
         raise ValueError("zero vector has no primitive form")
-    denom_lcm = 1
-    for x in v:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in v]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
-    return tuple(Q(a, g) for a in ints)
+    return tuple(Q(a) for a in _primitive_ints(_cleared(v)[1]))
 
 
 def collinear(u: Vec, v: Vec) -> bool:

@@ -14,6 +14,7 @@ import inspect
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from types import MappingProxyType
 
 from .errors import CapExceeded, InputError, InternalError
 from .rational import (
@@ -104,7 +105,7 @@ class RootSystem:
     # -- predicates -------------------------------------------------------
 
     def is_dominant_covector(self, mu: Vec) -> bool:
-        return all(self.ip(mu, a) >= 0 for a in self.simple_roots)
+        return all(dot(mu, ga) >= 0 for ga in gram_images(self)[0])
 
     @memo("root_set")
     def root_set(self) -> frozenset:
@@ -434,6 +435,18 @@ def fundamental_weights(R: RootSystem) -> tuple[Vec, ...]:
     return tuple(out)
 
 
+@memo("gram_images")
+def gram_images(R: RootSystem) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """(G a_i, G w_i) for the simple roots a_i and fundamental weights w_i.
+
+    <mu, a_i> = dot(mu, G a_i), so a pairing against one of them is a single
+    dot instead of the matvec that R.ip runs on every call.
+    """
+    G = R.inner_product
+    return (tuple(matvec(G, a) for a in R.simple_roots),
+            tuple(matvec(G, w) for w in fundamental_weights(R)))
+
+
 def reflection_matrix(R: RootSystem, alpha: Vec) -> Mat:
     """Matrix of s_alpha on covector coordinates."""
     aa = R.ip(alpha, alpha)
@@ -474,8 +487,9 @@ def dominant_representative(R: RootSystem, lam: Vec) -> tuple[Vec, Mat]:
     x = vec(lam)
     w = identity(R.rank)
     guard = 10 * len(R.pos_roots) + 10
+    pairs = tuple(zip(R.simple_roots, gram_images(R)[0]))
     for _ in range(guard):
-        a = next((a for a in R.simple_roots if R.ip(x, a) < 0), None)
+        a = next((a for a, ga in pairs if dot(x, ga) < 0), None)
         if a is None:
             return x, w
         x = R.reflect(x, a)
@@ -497,8 +511,10 @@ def opposition_involution(R: RootSystem) -> Mat:
     return tuple(tuple(-c for c in row) for row in w)
 
 
-def iota_permutation(R: RootSystem) -> dict[int, int]:
-    """The permutation of simple-root indices induced by the opposition involution."""
+@memo("iota_permutation")
+def iota_permutation(R: RootSystem) -> MappingProxyType:
+    """The permutation of simple-root indices induced by the opposition
+    involution, as a read-only mapping i -> j."""
     iota = opposition_involution(R)
     out = {}
     for i, a in enumerate(R.simple_roots):
@@ -507,7 +523,7 @@ def iota_permutation(R: RootSystem) -> dict[int, int]:
         if len(js) != 1:
             raise InternalError("opposition involution does not permute the simple roots")
         out[i] = js[0]
-    return out
+    return MappingProxyType(out)
 
 
 def apply_iota(R: RootSystem, x: Vec) -> Vec:

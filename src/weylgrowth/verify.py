@@ -34,6 +34,7 @@ from .rootsystem import (
     apply_iota,
     build_root_system,
     fundamental_weights,
+    gram_images,
     iota_permutation,
     rho,
     strongly_orthogonal_theta,
@@ -94,14 +95,14 @@ def check_keylemma(R: RootSystem, mu, alpha) -> dict:
     mu = _her_dominant(R, mu)
     i = _simple_index(R, alpha)
     u = invariant_direction(R, alpha)
-    ws = fundamental_weights(R)
-    dens = [R.ip(u, w) for w in ws]
+    gws = gram_images(R)[1]
+    dens = [dot(u, gw) for gw in gws]
     if any(d <= 0 for d in dens):
         raise InputError("weight pairings must be strictly positive; "
                          "the ratio family needs an irreducible system")
     # cross-multiplied with positive denominators, so exact
-    hyp = all(R.ip(mu, ws[b]) * dens[i] <= R.ip(mu, ws[i]) * dens[b]
-              for b in range(R.rank))
+    mu_i = dot(mu, gws[i])
+    hyp = all(dot(mu, gws[b]) * dens[i] <= mu_i * dens[b] for b in range(R.rank))
     concl = nonneg_multiple_of(mu, u)
     if hyp and not concl:
         raise CheckFailure(
@@ -124,13 +125,13 @@ def check_posofweight(R: RootSystem, mu, alpha) -> dict:
     mu = _her_dominant(R, mu)
     alpha = vec(alpha)
     i = _simple_index(R, alpha)
-    w = fundamental_weights(R)[i]
+    gas, gws = gram_images(R)
     aia = vec_add_scaled(alpha, Q(1), apply_iota(R, alpha))
-    den = R.ip(w, aia)
+    den = dot(aia, gws[i])
     if den <= 0:
         raise CheckFailure(f"weight/root pairing degenerated at {alpha}")
-    lhs = R.ip(mu, alpha) * den
-    rhs = R.ip(mu, w) * R.ip(alpha, aia)
+    lhs = dot(mu, gas[i]) * den
+    rhs = dot(mu, gws[i]) * dot(aia, gas[i])
     if lhs > rhs:
         raise CheckFailure(
             f"root-pairing bound falsified at mu={mu}, wall={alpha}: "
@@ -360,7 +361,7 @@ def check_psilinear(G, samples: int = 200, seed: int = 0,
     cd = critical_data(G)
     mu = vec(cd.mu_gamma_exact)
     perm = iota_permutation(R)
-    idx = [i for i, a in enumerate(R.simple_roots) if R.ip(mu, a) > 0]
+    idx = [i for i, ga in enumerate(gram_images(R)[0]) if dot(mu, ga) > 0]
     gens = []
     seen = set()
     for i in idx:

@@ -13,6 +13,7 @@ from weylgrowth.rootsystem import (
     build_root_system,
     dominant_representative,
     fundamental_weights,
+    gram_images,
     iota_permutation,
     opposition_involution,
     rho,
@@ -51,6 +52,19 @@ def test_rho_is_memoised():
     assert rho(R) is rho(R)
     # a function of the root system alone keeps the bare key
     assert "rho" in R._cache
+
+
+def test_gram_images_are_memoised():
+    for name in ("a2", "b3", "g2", "so(2,5)"):
+        R = build_root_system(name)
+        images = gram_images(R)
+        G = R.inner_product
+        assert images == (tuple(matvec(G, a) for a in R.simple_roots),
+                          tuple(matvec(G, w) for w in fundamental_weights(R))), name
+        assert gram_images(R) is images
+        # the images pair exactly as R.ip does
+        mu = rho(R)
+        assert [dot(mu, ga) for ga in images[0]] == [R.ip(mu, a) for a in R.simple_roots]
 
 
 def test_cache_is_indexed_only_inside_memo():
