@@ -61,7 +61,7 @@ def load_config(environ=None) -> dict:
         kind = type(DEFAULTS[key])
         try:
             cfg[key] = kind(val)
-        except (TypeError, ValueError) as ex:
+        except (TypeError, ValueError, OverflowError) as ex:
             raise InputError(f"config key {key!r}: {val!r} is not a valid "
                              f"{kind.__name__}") from ex
     return cfg

@@ -17,6 +17,10 @@ from .errors import CapExceeded, InputError
 
 ORBIT_CAP_DEFAULT = 10**6
 DEDUPE_TOL_DEFAULT = 1e-6
+# kept singular values lie between the smallest subnormal and DBL_MAX, so
+# Cartan coordinates satisfy |x| < 1455 and x / tol stays finite (its
+# dedupe key an integer) for every tolerance from this floor up
+DEDUPE_TOL_MIN = 1e-300
 UNIMODULAR_TOL = 1e-8
 CHECK_TOL = 1e-6
 
@@ -105,8 +109,9 @@ def build_group_spec(obj) -> MatrixGroupSpec:
     if isinstance(mwl, bool) or not isinstance(mwl, int) or mwl < 1:
         raise InputError("max_word_length must be a positive integer")
     tol = obj.get("dedupe_tolerance", DEDUPE_TOL_DEFAULT)
-    if not isinstance(tol, float) or not 0 < tol < 1:
-        raise InputError("dedupe_tolerance must be a float in (0, 1)")
+    if not isinstance(tol, float) or not DEDUPE_TOL_MIN <= tol < 1:
+        raise InputError(f"dedupe_tolerance must be a float in "
+                         f"[{DEDUPE_TOL_MIN}, 1)")
     return MatrixGroupSpec(ambient=ambient, generators=tuple(gens),
                            max_word_length=mwl, dedupe_tolerance=tol)
 
@@ -119,25 +124,57 @@ def _letters(spec: MatrixGroupSpec):
     return mats, m
 
 
+def _singular_values(P):
+    """Singular values of a stack of finite matrices, one row each.
+
+    A LinAlgError from the stacked SVD falls back to one matrix at a time,
+    so a matrix whose SVD fails costs only its own row, which reads NaN.
+    """
+    try:
+        return np.linalg.svd(P, compute_uv=False)
+    except np.linalg.LinAlgError:
+        if len(P) == 1:
+            return np.full((1, P.shape[-1]), np.nan)
+        return np.concatenate([_singular_values(P[i:i + 1])
+                               for i in range(len(P))])
+
+
+def _cartan_points(P):
+    """Projections of a stack of matrices: (points, keep).
+
+    keep marks the matrices that are not degenerate (non-finite entries,
+    failed SVD, non-finite or vanishing singular values); points holds the
+    sorted log singular values of those, recentered to sum zero, one row
+    each in stack order.
+    """
+    keep = np.isfinite(P).all(axis=(1, 2))
+    s = _singular_values(P[keep])
+    good = np.isfinite(s).all(axis=1) & (s[:, -1] > 0.0)
+    keep[keep] = good
+    ls = np.log(s[good])
+    return ls - ls.sum(axis=1, keepdims=True) / ls.shape[1], keep
+
+
 def _cartan_point(P) -> tuple | None:
     """Sorted log singular values, recentered to sum zero; None if degenerate."""
-    try:
-        s = np.linalg.svd(P, compute_uv=False)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(s)) or s[-1] <= 0.0:
-        return None
-    ls = np.log(s)
-    ls = ls - ls.mean()
-    return tuple(float(x) for x in ls)
+    pts, keep = _cartan_points(np.asarray(P, dtype=float)[None])
+    return tuple(pts[0].tolist()) if keep[0] else None
+
+
+# children formed per stacked product; bounds the transient arrays of a
+# level to this many matrices whatever the frontier width
+_BLOCK_WORDS = 8192
 
 
 def enumerate_orbit(spec, cap: int = ORBIT_CAP_DEFAULT) -> CartanSample:
     """Projections of all reduced words up to the configured length.
 
-    Breadth first with no immediate backtracking.  Within each word
-    length, words whose projections round to the same grid cell (side
-    dedupe_tolerance) are merged; float equality of group elements is
+    Breadth first with no immediate backtracking, one word length at a
+    time: each level's words are formed by stacked products of the
+    previous level with the allowed letters and projected by a batched
+    SVD.  Within each word length, words whose projections round to the
+    same grid cell (side dedupe_tolerance) are merged, the first in
+    (parent, letter) order kept; float equality of group elements is
     undecidable, and equal-length words with equal projections are
     overwhelmingly the same element for the inputs this targets.
     Degenerate products (overflow, vanishing singular values) are
@@ -145,42 +182,51 @@ def enumerate_orbit(spec, cap: int = ORBIT_CAP_DEFAULT) -> CartanSample:
     """
     spec = build_group_spec(spec)
     n = spec.n
+    tol = spec.dedupe_tolerance
     mats, m = _letters(spec)
+    letters = np.array(mats).reshape(2 * m, n, n)
+    # letters allowed after letter j: all but its inverse, in letter order
+    after = np.array([[k for k in range(2 * m) if k != (j + m) % (2 * m)]
+                      for j in range(2 * m)], dtype=np.intp)
     points = [(tuple(0.0 for _ in range(n)), 0)]
     dropped = 0
     count = 1
-    frontier = [(np.eye(n), -1)]
+    # frontier words and their last letters; table[last] lists the letters
+    # each may take next, and the empty word (row 0 here) takes every letter
+    frontier, last = np.eye(n)[None], np.zeros(1, dtype=np.intp)
+    table = np.arange(2 * m)[None]
     for length in range(1, spec.max_word_length + 1):
         seen = set()
-        nxt = []
         level = []
-        for M, last in frontier:
-            for j, L in enumerate(mats):
-                # skip the immediate backtrack letter
-                if last >= 0 and j == (last + m) % (2 * m):
-                    continue
-                P = M @ L
-                if not np.all(np.isfinite(P)):
-                    dropped += 1
-                    continue
-                mu = _cartan_point(P)
-                if mu is None:
-                    dropped += 1
-                    continue
-                key = tuple(int(round(x / spec.dedupe_tolerance)) for x in mu)
+        kept_words, kept_last = [], []
+        step = max(1, _BLOCK_WORDS // max(table.shape[1], 1))
+        for b in range(0, len(frontier), step):
+            allowed = table[last[b:b + step]]
+            P = np.matmul(frontier[b:b + step, None],
+                          letters[allowed]).reshape(-1, n, n)
+            js = allowed.ravel()
+            pts, keep = _cartan_points(P)
+            idx = keep.nonzero()[0]
+            dropped += len(P) - len(idx)
+            kept = []
+            for i, mu in zip(idx.tolist(), pts.tolist()):
+                key = tuple(round(x / tol) for x in mu)
                 if key in seen:
                     continue
                 seen.add(key)
                 count += 1
                 if count > cap:
                     raise CapExceeded("orbit enumeration", count, cap)
-                level.append(mu)
-                nxt.append((P, j))
+                level.append(tuple(mu))
+                kept.append(i)
+            kept_words.append(P[kept])
+            kept_last.append(js[kept])
         # canonical order within each level, independent of visit order
         points.extend((mu, length) for mu in sorted(level))
-        frontier = nxt
-        if not frontier:
+        if not level:
             break
+        frontier, last = np.concatenate(kept_words), np.concatenate(kept_last)
+        table = after
     return CartanSample(points=tuple(points), rank=n - 1, dropped=dropped)
 
 
@@ -310,9 +356,9 @@ def iota_symmetry_check(spec, depth: int | None = None) -> dict:
     while stack:
         P, Pinv, last, length = stack.pop()
         if length > 0:
-            mu = _cartan_point(P)
-            nu = _cartan_point(Pinv)
-            if mu is not None and nu is not None:
+            pts, keep = _cartan_points(np.stack((P, Pinv)))
+            if keep.all():
+                mu, nu = pts.tolist()
                 pairs += 1
                 expected = tuple(-x for x in reversed(mu))
                 dev = max(abs(a - b) for a, b in zip(nu, expected))

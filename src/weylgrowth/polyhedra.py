@@ -160,24 +160,6 @@ def lp_feasible_eq(A, b):
     return tuple(x)
 
 
-def lp_feasible_ineq(A, b):
-    """One free-sign v with Av >= b, or None. Exact."""
-    m = len(A)
-    if m == 0:
-        return ()
-    n = len(A[0])
-    rows = []
-    for i in range(m):
-        pos = list(A[i])
-        neg = [-x for x in A[i]]
-        slack = [Q(-1) if j == i else Q(0) for j in range(m)]
-        rows.append(pos + neg + slack)
-    x = lp_feasible_eq(rows, list(b))
-    if x is None:
-        return None
-    return tuple(x[j] - x[n + j] for j in range(n))
-
-
 def conic_member(gens, v):
     """Is v a nonnegative combination of gens? Exact."""
     if is_zero(v):

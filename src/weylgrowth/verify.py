@@ -36,11 +36,11 @@ from .rootsystem import (
     fundamental_weights,
     gram_images,
     iota_permutation,
+    memo,
     rho,
     strongly_orthogonal_theta,
 )
 from .cones import avoids_facet, chamber_rays, closure, lemma_positivity, poly_cone
-from .polyhedra import lp_feasible_ineq
 from .growth import (
     NEG_INF,
     POS_INF,
@@ -49,6 +49,7 @@ from .growth import (
     evaluate,
     modified_cone_nonempty,
     modified_limit_cone,
+    recession_rays,
 )
 from .critical import critical_data, theta_mu
 
@@ -68,7 +69,11 @@ def _her_dominant(R: RootSystem, mu):
         raise InputError("covector length must equal the rank")
     if not R.is_dominant_covector(mu):
         raise InputError("precondition failure: covector is not dominant")
-    if apply_iota(R, mu) != mu:
+    # iota(w_i) = w_sigma(i) and iota is an isometric involution, so
+    # <iota(mu), w_i> = <mu, w_sigma(i)>: mu is invariant iff those agree
+    gws = gram_images(R)[1]
+    if any(dot(mu, gws[i]) != dot(mu, gws[j])
+           for i, j in iota_permutation(R).items() if i < j):
         raise InputError("precondition failure: covector is not involution-invariant")
     return mu
 
@@ -83,6 +88,28 @@ def invariant_direction(R: RootSystem, alpha):
 # -- unconditional lemma checks ---------------------------------------------
 
 
+@memo("keylemma_walls")
+def _keylemma_walls(R: RootSystem) -> tuple:
+    """Per simple root a_i: (u = w_i + iota(w_i), (<u, w_b> for every b))."""
+    gws = gram_images(R)[1]
+    out = []
+    for a in R.simple_roots:
+        u = invariant_direction(R, a)
+        out.append((u, tuple(dot(u, gw) for gw in gws)))
+    return tuple(out)
+
+
+@memo("posofweight_walls")
+def _posofweight_walls(R: RootSystem) -> tuple:
+    """Per simple root a_i: (<a_i + iota(a_i), w_i>, <a_i + iota(a_i), a_i>)."""
+    gas, gws = gram_images(R)
+    out = []
+    for i, a in enumerate(R.simple_roots):
+        aia = vec_add_scaled(a, Q(1), apply_iota(R, a))
+        out.append((dot(aia, gws[i]), dot(aia, gas[i])))
+    return tuple(out)
+
+
 def check_keylemma(R: RootSystem, mu, alpha) -> dict:
     """Wall-ratio dominance forces collinearity with the wall direction.
 
@@ -94,9 +121,8 @@ def check_keylemma(R: RootSystem, mu, alpha) -> dict:
     """
     mu = _her_dominant(R, mu)
     i = _simple_index(R, alpha)
-    u = invariant_direction(R, alpha)
+    u, dens = _keylemma_walls(R)[i]
     gws = gram_images(R)[1]
-    dens = [dot(u, gw) for gw in gws]
     if any(d <= 0 for d in dens):
         raise InputError("weight pairings must be strictly positive; "
                          "the ratio family needs an irreducible system")
@@ -126,12 +152,11 @@ def check_posofweight(R: RootSystem, mu, alpha) -> dict:
     alpha = vec(alpha)
     i = _simple_index(R, alpha)
     gas, gws = gram_images(R)
-    aia = vec_add_scaled(alpha, Q(1), apply_iota(R, alpha))
-    den = dot(aia, gws[i])
+    den, num = _posofweight_walls(R)[i]
     if den <= 0:
         raise CheckFailure(f"weight/root pairing degenerated at {alpha}")
     lhs = dot(mu, gas[i]) * den
-    rhs = dot(mu, gws[i]) * dot(aia, gas[i])
+    rhs = dot(mu, gws[i]) * num
     if lhs > rhs:
         raise CheckFailure(
             f"root-pairing bound falsified at mu={mu}, wall={alpha}: "
@@ -204,8 +229,8 @@ def deduce_onewall(G, alpha) -> dict:
 
     premise_holds: the chamber maximum of mu over u = w_a + iota(w_a) is
     attained somewhere on the closure of the positive-growth subcone
-    (exact feasibility test).  conclusion_holds: mu is a nonnegative
-    multiple of u (zero included), decided exactly.  identity_exact
+    (exact, read from its extreme rays).  conclusion_holds: mu is a
+    nonnegative multiple of u (zero included), decided exactly.  identity_exact
     additionally compares mu against max(0, sup of the modified model
     over u) times u, exactly.
 
@@ -229,16 +254,13 @@ def deduce_onewall(G, alpha) -> dict:
     if trivial or theta == math.inf:
         premise = False
     else:
-        # attainment: a nonzero closure point where the ratio hits theta.
-        # mu - theta*u <= 0 on the whole chamber, so asking >= 0 pins the
-        # equality face; u >= 1 removes the origin, scale-invariantly.
-        rows = [list(h) for h in closure(Lp).halfspaces]
-        b = [Q(0)] * len(rows)
-        rows.append(list(vsub(mu, vscale(theta, u))))
-        b.append(Q(0))
-        rows.append(list(u))
-        b.append(Q(1))
-        premise = lp_feasible_ineq(rows, b) is not None
+        # attainment: a closure point v with u(v) > 0 where the ratio hits
+        # theta.  mu - theta*u <= 0 on the whole chamber, so a nonnegative
+        # combination of the closure's extreme rays attains it iff one of
+        # its rays does.
+        slack = vsub(mu, vscale(theta, u))
+        premise = any(dot(slack, r) == 0 and dot(u, r) > 0
+                      for r in recession_rays(G, True))
 
     conclusion = nonneg_multiple_of(mu, u)
     dp = delta_prime(G, u)

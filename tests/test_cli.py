@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 from unittest import mock
 
@@ -279,9 +280,10 @@ CYCLIC_SPEC = {"ambient": "sl3r",
     {"generators": [[[2.0, 0, 0], [0, 1], [0, 0, 0.5]]]},
     {"dedupe_tolerance": "abc"},
     {"dedupe_tolerance": None},
+    {"dedupe_tolerance": 1e-320},
     {"max_word_length": True},
 ], ids=["generators-int", "entry-x", "ragged", "tolerance-abc",
-        "tolerance-null", "word-length-true"])
+        "tolerance-null", "tolerance-subnormal", "word-length-true"])
 def test_orbit_malformed_spec_exits_2(capsys, tmp_path, change):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(dict(CYCLIC_SPEC, **change)))
@@ -371,6 +373,33 @@ def test_mutated_orbit_spec_exits_with_documented_code(tmp_path_factory,
                       ["orbit", "--radius-cut", "1"])
 
 
+CONFIG = {"seed": 0, "orbit_cap": 2000}
+# JSON reads 1e400 as inf; int() of inf overflows, of nan raises ValueError
+CONFIG_LEAF = st.one_of(LEAF, st.sampled_from([1e400, -1e400, math.nan]),
+                        st.integers(-10**30, 10**30))
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(mutations=st.lists(st.tuples(st.sampled_from(sorted(CONFIG)), CONFIG_LEAF),
+                          min_size=1, max_size=2))
+def test_mutated_config_exits_with_documented_code(tmp_path_factory, mutations):
+    config = dict(CONFIG)
+    for key, value in mutations:
+        config[key] = value
+    folder = tmp_path_factory.mktemp("config")
+    cfg = folder / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    spec = folder / "spec.json"
+    spec.write_text(json.dumps(CYCLIC_SPEC))
+    for argv in (["orbit", str(spec)], ["rootsys", "--preset", "a2"]):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, {"WEYLGROWTH_CONFIG": str(cfg)}), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1, 2, 3), (config, argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue() + out.getvalue()
+
+
 def test_config_file_env(capsys, tmp_path, monkeypatch):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"orbit_cap": 5}))
@@ -386,6 +415,7 @@ def test_config_file_env(capsys, tmp_path, monkeypatch):
         cfgfile.write_text(json.dumps({key: 1}))
         code, _, err = run(capsys, ["rootsys", "--preset", "a1"])
         assert code == 2 and "unknown config key" in err
-    cfgfile.write_text(json.dumps({"seed": "abc"}))
-    code, _, err = run(capsys, ["rootsys", "--preset", "a1"])
-    assert code == 2 and "not a valid int" in err
+    for value in ("abc", 1e400):
+        cfgfile.write_text(json.dumps({"seed": value}))
+        code, _, err = run(capsys, ["rootsys", "--preset", "a1"])
+        assert code == 2 and "not a valid int" in err

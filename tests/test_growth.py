@@ -26,9 +26,11 @@ from weylgrowth.growth import (
     random_growth_model,
     tent_check,
 )
-from weylgrowth.polyhedra import lp_feasible_ineq, vertices_of_polyhedron
+from weylgrowth.polyhedra import vertices_of_polyhedron
 from weylgrowth.rational import dot, matvec, to_float, vadd, vec, vscale, vsub
 from weylgrowth.rootsystem import build_root_system, fundamental_weights, rho
+
+from lp_oracle import lp_feasible_ineq
 
 
 def so25():

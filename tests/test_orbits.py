@@ -6,9 +6,11 @@ import random
 import numpy as np
 import pytest
 
+from weylgrowth import orbits
 from weylgrowth.errors import CapExceeded, InputError
 from weylgrowth.orbits import (
     ESTIMATE_FLAG,
+    ORBIT_CAP_DEFAULT,
     MatrixGroupSpec,
     _cartan_point,
     _letters,
@@ -51,6 +53,122 @@ def block_pair_sl4():
     h = np.zeros((4, 4)); h[:2, :2] = B; h[2:, 2:] = D
     return {"ambient": "sl4r", "generators": [g.tolist(), h.tolist()],
             "max_word_length": 8}
+
+
+def _reference_point(P):
+    """One word's projection, as the per-word enumeration computed it."""
+    try:
+        s = np.linalg.svd(P, compute_uv=False)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(s)) or s[-1] <= 0.0:
+        return None
+    ls = np.log(s)
+    ls = ls - ls.mean()
+    return tuple(float(x) for x in ls)
+
+
+def reference_enumeration(spec, cap=ORBIT_CAP_DEFAULT):
+    """Breadth first, one word at a time: (points, dropped).
+
+    The enumeration enumerate_orbit replaced with stacked levels; the
+    batched one must give the same points, drop count and cap error.
+    """
+    spec = build_group_spec(spec)
+    mats, m = _letters(spec)
+    points = [(tuple(0.0 for _ in range(spec.n)), 0)]
+    dropped = 0
+    count = 1
+    frontier = [(np.eye(spec.n), -1)]
+    for length in range(1, spec.max_word_length + 1):
+        seen = set()
+        nxt = []
+        level = []
+        for M, last in frontier:
+            for j, L in enumerate(mats):
+                if last >= 0 and j == (last + m) % (2 * m):
+                    continue
+                P = M @ L
+                mu = _reference_point(P) if np.all(np.isfinite(P)) else None
+                if mu is None:
+                    dropped += 1
+                    continue
+                key = tuple(int(round(x / spec.dedupe_tolerance)) for x in mu)
+                if key in seen:
+                    continue
+                seen.add(key)
+                count += 1
+                if count > cap:
+                    raise CapExceeded("orbit enumeration", count, cap)
+                level.append(mu)
+                nxt.append((P, j))
+        points.extend((mu, length) for mu in sorted(level))
+        frontier = nxt
+        if not frontier:
+            break
+    return tuple(points), dropped
+
+
+def seeded_pair(n, seed, depth, tol=1e-6):
+    """Two generic generators near the identity, positive determinant."""
+    rng = np.random.default_rng(seed)
+    gens = []
+    for _ in range(2):
+        A = np.eye(n) + 0.4 * rng.standard_normal((n, n))
+        if np.linalg.det(A) < 0:
+            A[0] *= -1
+        gens.append(A.tolist())
+    return {"ambient": f"sl{n}r", "generators": gens,
+            "max_word_length": depth, "dedupe_tolerance": tol}
+
+
+ORACLE_SPECS = {
+    "sl3r": seeded_pair(3, 1, 6),
+    "sl3r-coarse": seeded_pair(3, 2, 7, tol=0.05),
+    "sl4r": seeded_pair(4, 3, 5),
+    "sl5r": seeded_pair(5, 4, 5, tol=1e-3),
+    "cyclic-dropped": cyclic3(depth=560),
+    "block-pair-sl4": block_pair_sl4(),
+    "no-generators": {"ambient": "sl3r", "generators": [],
+                      "max_word_length": 5},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+def test_enumeration_matches_per_word_oracle(name):
+    S = enumerate_orbit(ORACLE_SPECS[name])
+    assert (S.points, S.dropped) == reference_enumeration(ORACLE_SPECS[name])
+
+
+def test_enumeration_blocks_match_oracle(monkeypatch):
+    # blocks of 7 words split every level, and parents, across products
+    monkeypatch.setattr(orbits, "_BLOCK_WORDS", 7)
+    spec = seeded_pair(3, 5, 5, tol=0.01)
+    S = enumerate_orbit(spec)
+    assert (S.points, S.dropped) == reference_enumeration(spec)
+
+
+def test_failed_stacked_svd_falls_back_per_matrix(monkeypatch):
+    """A stack whose SVD raises is projected one matrix at a time, and a
+    matrix whose own SVD raises is dropped alone."""
+    real = np.linalg.svd
+    calls = {"stacks": 0}
+
+    def picky(a, *args, **kwargs):
+        a = np.asarray(a)
+        if a.ndim == 3 and len(a) > 1:
+            calls["stacks"] += 1
+            raise np.linalg.LinAlgError("SVD did not converge")
+        if a[..., 0, 0].max() > 2.0:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", picky)
+    spec = seeded_pair(3, 1, 5)
+    S = enumerate_orbit(spec)
+    points, dropped = reference_enumeration(spec)
+    assert calls["stacks"] > 0 and dropped > 0
+    assert (S.points, S.dropped) == (points, dropped)
 
 
 def test_trivial_group_is_origin():
@@ -114,7 +232,13 @@ def test_enumeration_is_deterministic():
 def test_cap_exceeded_on_free_pair():
     with pytest.raises(CapExceeded) as ex:
         enumerate_orbit(free_pair_sl2(depth=12), cap=1500)
-    assert ex.value.cap == 1500 and ex.value.needed > 1500
+    assert ex.value.cap == 1500 and ex.value.needed == 1501
+    # the first word past the cap raises, on a level boundary too
+    total = len(enumerate_orbit(free_pair_sl2(depth=5)).points)
+    assert len(enumerate_orbit(free_pair_sl2(depth=5), cap=total).points) == total
+    with pytest.raises(CapExceeded) as ex:
+        enumerate_orbit(free_pair_sl2(depth=5), cap=total - 1)
+    assert ex.value.needed == total
 
 
 def test_degenerate_products_dropped_with_count():

@@ -9,11 +9,12 @@ from weylgrowth.polyhedra import (
     conic_member,
     extreme_rays,
     lp_feasible_eq,
-    lp_feasible_ineq,
     min_norm_point,
     vertices_of_polyhedron,
 )
 from weylgrowth.rational import dot, to_float, vec
+
+from lp_oracle import lp_feasible_ineq
 
 
 def test_extreme_rays_chamber_b2():

@@ -4,11 +4,15 @@ from fractions import Fraction as Q
 
 import pytest
 
-from weylgrowth.cones import chamber_rays, cone_contains, poly_cone
+from weylgrowth.cones import (avoids_facet, chamber_rays, closure, cone_contains,
+                              poly_cone)
+from weylgrowth.critical import critical_data, theta_mu
 from weylgrowth.errors import CheckFailure, InputError
-from weylgrowth.growth import build_growth_model
-from weylgrowth.rational import dot, vadd, vec, vscale
-from weylgrowth.rootsystem import build_root_system, fundamental_weights, rho
+from weylgrowth.growth import (build_growth_model, modified_cone_nonempty,
+                               modified_limit_cone, random_growth_model)
+from weylgrowth.rational import dot, vadd, vec, vscale, vsub
+from weylgrowth.rootsystem import (apply_iota, build_root_system,
+                                   fundamental_weights, rho)
 from weylgrowth.verify import (
     argmax_face,
     bound_wall_avoided,
@@ -22,6 +26,8 @@ from weylgrowth.verify import (
     reproduce_b3_remark,
     run_lemma_check,
 )
+
+from lp_oracle import lp_feasible_ineq
 
 A1 = (1, -1)
 A2 = (0, 1)
@@ -136,6 +142,33 @@ def test_posofweight_precondition():
 
 
 # -- rightangles and positivity ----------------------------------------------
+
+
+def test_invariance_guard_matches_apply_iota():
+    """The guard's pairing test agrees with applying iota as a matrix."""
+    rng = random.Random(5)
+    for name in ("a2", "a3", "a4", "d5", "e6", "b3", "so(2,5)"):
+        R = build_root_system(name)
+        ws = fundamental_weights(R)
+        seen = set()
+        for k in range(60):
+            coeffs = [Q(rng.randint(0, 3), rng.randint(1, 2)) for _ in ws]
+            mu = vec(sum(c * w[t] for c, w in zip(coeffs, ws))
+                     for t in range(R.rank))
+            if k % 2:
+                # symmetrise half the draws so invariant covectors occur
+                mu = vscale(Q(1, 2), vadd(mu, apply_iota(R, mu)))
+            invariant = apply_iota(R, mu) == mu
+            seen.add(invariant)
+            try:
+                check_posofweight(R, mu, R.simple_roots[0])
+                passed = True
+            except InputError as ex:
+                assert "involution-invariant" in str(ex)
+                passed = False
+            assert passed == invariant, (name, mu)
+        assert seen == ({True, False} if name in ("a2", "a3", "a4", "d5", "e6")
+                        else {True})
 
 
 def test_rightangles_presets():
@@ -263,6 +296,49 @@ def test_onewall_long_wall_instance():
     assert rep["identity_exact"]
     assert rep["status"] == "theorem instance verified"
     assert rep["mu_gamma"] == [0.5, 0.0]
+
+
+def _lp_premise(G, alpha):
+    """The attainment premise by the exact LP deduce_onewall used to run."""
+    R = G.root_system
+    u = invariant_direction(R, alpha)
+    mu = vec(critical_data(G).mu_gamma_exact)
+    theta = theta_mu(mu, u, R)
+    if not modified_cone_nonempty(G) or theta == math.inf:
+        return False
+    halfspaces = [list(h) for h in closure(modified_limit_cone(G)).halfspaces]
+    rows = halfspaces + [list(vsub(mu, vscale(theta, u))), list(u)]
+    b = [Q(0)] * len(halfspaces) + [Q(0), Q(1)]
+    return lp_feasible_ineq(rows, b) is not None
+
+
+def test_onewall_premise_matches_lp():
+    models = [wall_model(), thin_model()]
+    R = b2()
+    models.append(build_growth_model(R, poly_cone(generators=((1, 0), (3, 1)), rank=2),
+                                     [vadd(rho(R), (Q(1, 2), Q(0)))]))
+    models.append(build_growth_model(R, poly_cone(generators=((4, 1), (5, 1)), rank=2),
+                                     [rho(R)]))
+    for name in ("b2", "g2", "a2", "a3", "b3", "so(2,5)"):
+        R = build_root_system(name)
+        for seed in range(12):
+            G = random_growth_model(R, random.Random(seed))
+            models.append(G)
+            # halved pieces make the positive-growth cone smaller or empty
+            models.append(build_growth_model(
+                R, G.cone, [vadd(rho(R), vscale(Q(1, 2), vsub(p, rho(R))))
+                            for p in G.pieces]))
+    outcomes = set()
+    for G in models:
+        R = G.root_system
+        Lp = closure(modified_limit_cone(G))
+        for a in R.simple_roots:
+            if not avoids_facet(R, Lp, a):
+                continue
+            rep = deduce_onewall(G, a)
+            assert rep["premise_holds"] == _lp_premise(G, a), (R.label, a)
+            outcomes.add((rep["trivial"], rep["premise_holds"]))
+    assert {(False, True), (False, False), (True, False)} <= outcomes, outcomes
 
 
 # -- two-wall replay ----------------------------------------------------------
