@@ -58,12 +58,12 @@ def load_config(environ=None) -> dict:
     for key, val in obj.items():
         if key not in DEFAULTS:
             raise InputError(f"unknown config key {key!r}")
-        kind = type(DEFAULTS[key])
-        try:
-            cfg[key] = kind(val)
-        except (TypeError, ValueError, OverflowError) as ex:
-            raise InputError(f"config key {key!r}: {val!r} is not a valid "
-                             f"{kind.__name__}") from ex
+        # a JSON integer only: bools, floats and strings are not coerced
+        if type(val) is not int:
+            raise InputError(f"config key {key!r}: {val!r} is not a valid int")
+        if key == "orbit_cap" and val < 1:
+            raise InputError(f"config key {key!r}: {val!r} is not a valid int >= 1")
+        cfg[key] = val
     return cfg
 
 
@@ -71,12 +71,6 @@ def _apply_flag_overrides(cfg: dict, args) -> dict:
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
     return cfg
-
-
-def _expect_keys(report: dict, keys, where: str):
-    missing = [k for k in keys if k not in report]
-    if missing:
-        raise CheckFailure(f"internal: {where} report lacks {missing}")
 
 
 def _emit(obj) -> None:
@@ -101,7 +95,6 @@ def cmd_rootsys(args, cfg) -> int:
         out["Theta"] = vec_to_json(theta)
         out["fundamental_weights"] = [vec_to_json(w) for w in ws]
         out["iota_permutation"] = {str(i + 1): perm[i] + 1 for i in perm}
-        _expect_keys(out, ("label", "simple_roots", "rho", "Theta"), "rootsys")
         _emit(out)
         return 0
     lines = [f"preset: {R.label}", "simple roots: "
@@ -140,8 +133,6 @@ def cmd_growth_solve(args, cfg) -> int:
     mus.extend(vec_from_json(m, rank, f"covector {m!r}") for m in mu_list)
     rep["delta_prime_mu"] = [
         dict(delta_prime_report(G, mu), mu=vec_to_json(mu)) for mu in mus]
-    _expect_keys(rep, ("delta_prime", "v_gamma", "mu_gamma", "theta",
-                       "delta_prime_mu"), "growth-solve")
     if args.consistency:
         _assert_solution_consistency(G, rep)
         rep["consistency"] = "passed"
@@ -176,7 +167,6 @@ def cmd_bounds(args, cfg) -> int:
         rows.append({"alpha_index": i, "c": _num_to_json(c),
                      "bound": vec_to_json(bound)})
     out = {"preset": R.label, "rho": vec_to_json(rho(R)), "bounds": rows}
-    _expect_keys(out, ("preset", "bounds"), "bounds")
     _emit(out)
     return 0
 
@@ -246,7 +236,6 @@ def cmd_check(args, cfg) -> int:
         failures = sum(1 for r in rows if r.get("violated"))
     out = {"suite": args.suite, "rows": len(rows), "failures": failures,
            "presets": list(CHECK_PRESETS), "seed": seed}
-    _expect_keys(out, ("suite", "rows", "failures"), "check")
     if failures:
         _emit(out)
         raise CheckFailure(f"{failures} failures in the {args.suite} suite")
@@ -279,7 +268,6 @@ def cmd_orbit(args, cfg) -> int:
         with open(args.output, "w") as fh:
             fh.write(sample_to_csv(S))
         out["csv"] = args.output
-    _expect_keys(out, ("points", "dropped", "rank"), "orbit")
     _emit(out)
     return 0
 

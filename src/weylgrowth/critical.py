@@ -24,7 +24,7 @@ from .growth import (GrowthIndicator, dominant_iota_classes,
                      growth_polytope_vertices, modified_cone_nonempty,
                      recession_rays, super_level_rows)
 from .polyhedra import min_norm_point
-from .rational import dot, matvec, vec, vec_add_scaled, vscale, vsub, vzero
+from .rational import dot, lincomb, matvec, vec, vscale, vsub, vzero
 from .rootsystem import fundamental_weights, memo
 
 
@@ -129,10 +129,7 @@ def solve_mu_gamma_minimization(G: GrowthIndicator):
     x = min_norm_point(rows, b, gram)
     if x is None:
         raise InternalError("route B found no feasible class coefficients")
-    mu = vzero(n)
-    for c, u in zip(x, us):
-        mu = vec_add_scaled(mu, c, u)
-    return mu
+    return lincomb(x, us)
 
 
 @memo("critical_data")

@@ -56,6 +56,11 @@ def vec_add_scaled(u: Vec, c, v: Vec) -> Vec:
     return tuple(a + c * b for a, b in zip(u, v, strict=True))
 
 
+def lincomb(cs, vs) -> Vec:
+    """sum of c * v over the pairs, entry by entry through dot; vs nonempty."""
+    return tuple(dot(cs, col) for col in zip(*vs, strict=True))
+
+
 def vsub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 

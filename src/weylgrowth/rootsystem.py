@@ -196,7 +196,6 @@ def _heights(simple: tuple[Vec, ...], roots) -> dict:
 
 _SIMPLY_LACED_EDGES = {
     # Bourbaki numbering; nodes are 0-based here.
-    "d": lambda n: [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)],
     "e6": lambda _: [(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)],
     "e7": lambda _: [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 3)],
     "e8": lambda _: [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)],

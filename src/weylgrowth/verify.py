@@ -19,6 +19,7 @@ from .rational import (
     collinear,
     dot,
     is_zero,
+    lincomb,
     nonneg_multiple_of,
     primitive,
     solve_unique,
@@ -27,7 +28,6 @@ from .rational import (
     vec_add_scaled,
     vscale,
     vsub,
-    vzero,
 )
 from .rootsystem import (
     RootSystem,
@@ -167,9 +167,7 @@ def check_posofweight(R: RootSystem, mu, alpha) -> dict:
 def _random_chamber_point(R: RootSystem, rng) -> tuple:
     rays = chamber_rays(R)
     while True:
-        v = vzero(R.rank)
-        for ray in rays:
-            v = vec_add_scaled(v, Q(rng.randint(0, 8), rng.randint(1, 5)), ray)
+        v = lincomb([Q(rng.randint(0, 8), rng.randint(1, 5)) for _ in rays], rays)
         if not is_zero(v):
             return v
 
@@ -402,9 +400,7 @@ def check_psilinear(G, samples: int = 200, seed: int = 0,
     taken = failures = outside = 0
     if gens:
         for _ in range(samples):
-            v = vzero(R.rank)
-            for g in gens:
-                v = vec_add_scaled(v, Q(rng.randint(0, 9), rng.randint(1, 4)), g)
+            v = lincomb([Q(rng.randint(0, 9), rng.randint(1, 4)) for _ in gens], gens)
             if is_zero(v):
                 continue
             taken += 1
@@ -503,12 +499,10 @@ def _batch_posofweight(R, samples, seed):
 
 def _random_her_covector(R, rng, classes):
     """Nonnegative rational combination of the invariant weight directions."""
-    mu = vzero(R.rank)
-    for u in classes:
-        if rng.random() < 0.25:
-            continue  # leave some walls uncharged
-        mu = vec_add_scaled(mu, Q(rng.randint(0, 9), rng.randint(1, 4)), u)
-    return mu
+    # a draw below 0.25 leaves that wall uncharged
+    return lincomb([Q(0) if rng.random() < 0.25
+                    else Q(rng.randint(0, 9), rng.randint(1, 4)) for _ in classes],
+                   classes)
 
 
 def _batch_rightangles(R, samples, seed):
@@ -526,10 +520,7 @@ def _batch_positivity(R, samples, seed):
         gram_sel = [[R.ip(vs[a], vs[b]) for b in range(k)] for a in range(k)]
         d = [Q(rng.randint(0, 7), rng.randint(1, 3)) for _ in range(k)]
         # u is built to pair with vs exactly as d does, all entries >= 0
-        x = solve_unique(gram_sel, d)
-        u = vzero(R.rank)
-        for c, v in zip(x, vs):
-            u = vec_add_scaled(u, c, v)
+        u = lincomb(solve_unique(gram_sel, d), vs)
         try:
             lemma_positivity(vs, u, gram=R.inner_product)
         except CheckFailure as e:

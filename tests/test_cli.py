@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylgrowth import cli, critical
-from weylgrowth.cones import poly_cone
+from weylgrowth.cones import cone_to_json, dominant_cone, poly_cone
 from weylgrowth.growth import build_growth_model, growth_model_to_json
 from weylgrowth.rational import Q, vadd, vec
 from weylgrowth.rootsystem import build_root_system, rho
@@ -164,6 +164,22 @@ def test_growth_solve_error_codes(capsys, tmp_path, b2_models):
         malformed.write_text(json.dumps(obj))
         code, _, err = run(capsys, ["growth-solve", str(malformed)])
         assert code == 2 and msg in err, (obj, err)
+
+
+@pytest.mark.parametrize("preset, pieces", [
+    ("b2", [[3, 5], [8, -4]]),
+    ("d4", [["32/5", "18/5", "9/5", 0], ["11/2", "7/2", "5/2", "-3/2"]]),
+])
+def test_growth_solve_rejects_model_above_two_rho(capsys, tmp_path, preset, pieces):
+    # below 2 rho at every chamber generator, above it inside the chamber
+    R = build_root_system(preset)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"root_system": preset,
+                                 "cone": cone_to_json(dominant_cone(R)),
+                                 "pieces": pieces}))
+    code, out, err = run(capsys, ["growth-solve", str(model), "--consistency"])
+    assert code == 3 and out == ""
+    assert "exceeds twice the half sum on the cone" in err
 
 
 def test_growth_solve_consistency_runs_route_b_once(capsys, b2_models,
@@ -374,7 +390,7 @@ def test_mutated_orbit_spec_exits_with_documented_code(tmp_path_factory,
 
 
 CONFIG = {"seed": 0, "orbit_cap": 2000}
-# JSON reads 1e400 as inf; int() of inf overflows, of nan raises ValueError
+# JSON reads 1e400 as inf; a float is never a valid config int
 CONFIG_LEAF = st.one_of(LEAF, st.sampled_from([1e400, -1e400, math.nan]),
                         st.integers(-10**30, 10**30))
 
@@ -415,7 +431,11 @@ def test_config_file_env(capsys, tmp_path, monkeypatch):
         cfgfile.write_text(json.dumps({key: 1}))
         code, _, err = run(capsys, ["rootsys", "--preset", "a1"])
         assert code == 2 and "unknown config key" in err
-    for value in ("abc", 1e400):
-        cfgfile.write_text(json.dumps({"seed": value}))
+    for cfg in ({"seed": "abc"}, {"seed": 1e400}, {"seed": True}, {"seed": "3"},
+                {"seed": 2.0}, {"orbit_cap": 2.9}, {"orbit_cap": -5},
+                {"orbit_cap": 0}, {"orbit_cap": False}):
+        cfgfile.write_text(json.dumps(cfg))
         code, _, err = run(capsys, ["rootsys", "--preset", "a1"])
-        assert code == 2 and "not a valid int" in err
+        assert code == 2 and "not a valid int" in err, cfg
+    cfgfile.write_text(json.dumps({"seed": -3, "orbit_cap": 1}))
+    assert cli.load_config() == {"seed": -3, "orbit_cap": 1}

@@ -1,10 +1,12 @@
+import json
 import math
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
-from weylgrowth.cones import dominant_cone, poly_cone
+from weylgrowth.cones import cone_from_json, dominant_cone, poly_cone
 from weylgrowth import growth
 from weylgrowth.errors import CheckFailure, InputError, ModelInvariantError
 from weylgrowth.growth import (
@@ -27,8 +29,8 @@ from weylgrowth.growth import (
     tent_check,
 )
 from weylgrowth.polyhedra import vertices_of_polyhedron
-from weylgrowth.rational import dot, matvec, to_float, vadd, vec, vscale, vsub
-from weylgrowth.rootsystem import build_root_system, fundamental_weights, rho
+from weylgrowth.rational import dot, lincomb, matvec, to_float, vadd, vec, vscale, vsub
+from weylgrowth.rootsystem import apply_iota, build_root_system, fundamental_weights, rho
 
 from lp_oracle import lp_feasible_ineq
 
@@ -77,12 +79,109 @@ def test_model_invariant_violations():
 
 
 def test_involution_sample_violation_message():
-    # invariant on both chamber rays, so only a seeded sample catches it
+    # invariant on both chamber rays; the Farkas test names the piece whose
+    # involution image drops below psi, here at the point a sampler found
     A2 = build_root_system("a2")
+    pieces = [vec([1, 3]), vec([2, 1])]
     with pytest.raises(ModelInvariantError) as info:
-        build_growth_model(A2, dominant_cone(A2), [[1, 3], [2, 1]])
+        build_growth_model(A2, dominant_cone(A2), pieces)
     assert info.value.violations == [
-        "value not involution-invariant at sample (Fraction(7, 3), Fraction(3, 2))"]
+        "value not involution-invariant: piece (Fraction(2, 1), Fraction(1, 1)) "
+        "composed with the involution drops below the model"]
+    v = vec(["7/3", "3/2"])
+    psi = min(dot(p, v) for p in pieces)
+    assert dot(apply_iota(A2, pieces[1]), v) < psi
+
+
+# psi(2, 1) = 11 > 2 rho(2, 1) = 7 on b2, and the d4 model exceeds 2 rho
+# inside the chamber too, though both stay below 2 rho on every generator
+ABOVE_TWO_RHO = [
+    ("b2", [[3, 5], [8, -4]]),
+    ("d4", [["32/5", "18/5", "9/5", 0], ["11/2", "7/2", "5/2", "-3/2"]]),
+]
+
+
+@pytest.mark.parametrize("name, pieces", ABOVE_TWO_RHO)
+def test_two_rho_bound_decided_on_the_whole_cone(name, pieces):
+    R = build_root_system(name)
+    C = dominant_cone(R)
+    two_rho = vscale(2, rho(R))
+    assert all(min(dot(vec(p), g) for p in pieces) <= dot(two_rho, g)
+               for g in C.generators)
+    with pytest.raises(ModelInvariantError) as info:
+        build_growth_model(R, C, pieces)
+    assert info.value.violations == ["value exceeds twice the half sum on the cone"]
+
+
+def _sampled_violation(R, cone, pieces, samples, seed):
+    """The retired seeded search, kept as a one-sided oracle: a cone
+    generator or seeded cone point where psi > 2 rho or psi o iota != psi,
+    or None. Any point it returns is a real violation."""
+    gens = cone.generators
+    two_rho = vscale(2, rho(R))
+    iota_v = iota_vector_matrix(R)
+    rng = random.Random(seed)
+    points = list(gens)
+    if gens:
+        points += [lincomb([Q(rng.randint(0, 8), rng.randint(1, 4)) for _ in gens], gens)
+                   for _ in range(samples)]
+    for v in points:
+        psi = min(dot(p, v) for p in pieces)
+        if psi > dot(two_rho, v) or min(dot(p, matvec(iota_v, v)) for p in pieces) != psi:
+            return v
+    return None
+
+
+def _recorded_models():
+    """(preset, cone JSON, pieces) of every model in the benchmark pools."""
+    data = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+    solve = json.loads((data / "solve.json").read_text())
+    checks = json.loads((data / "checks.json").read_text())
+    cli = json.loads((data / "cli.json").read_text())
+    docs = [e["model"] for e in solve["panel"]]
+    docs += [e["model"] for stratum in solve["strata"].values() for e in stratum]
+    docs += [e["model"] for e in cli["growth-solve"]]
+    out = [(d["root_system"], d["cone"], d["pieces"]) for d in docs]
+    out += [(e["preset"], e["model"]["cone"], e["model"]["pieces"])
+            for kind in ("replay", "tent") for e in checks[kind]]
+    return out
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "a4", "b3", "c3", "d4", "d5", "e6",
+                                  "f4", "g2", "so(2,5)"])
+def test_piece_composed_with_iota_is_apply_iota(name):
+    # the invariance test reads p o iota as the covector apply_iota(R, p)
+    R = build_root_system(name)
+    rng = random.Random(name)
+    iota_v = iota_vector_matrix(R)
+    for _ in range(5):
+        p = vec([Q(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(R.rank)])
+        v = vec([Q(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(R.rank)])
+        assert dot(apply_iota(R, p), v) == dot(p, matvec(iota_v, v))
+
+
+def test_exact_invariants_agree_with_sampling_oracle():
+    roots = {}
+    rng = random.Random(0)
+    found = 0
+    for preset, cone_doc, piece_docs in _recorded_models():
+        if preset not in roots:
+            roots[preset] = build_root_system(preset)
+        R = roots[preset]
+        cone = cone_from_json(cone_doc)
+        pieces = [vec(p) for p in piece_docs]
+        G = build_growth_model(R, cone, pieces)  # every recorded model builds
+        assert _sampled_violation(R, G.cone, G.pieces, 50, 0) is None
+        for _ in range(3):
+            i = rng.randrange(len(pieces))
+            shift = [Q(rng.randint(-2, 2), rng.randint(1, 4)) for _ in range(R.rank)]
+            bent = pieces[:i] + [vadd(pieces[i], shift)] + pieces[i + 1:]
+            if _sampled_violation(R, G.cone, bent, 50, rng.randint(0, 99)) is None:
+                continue
+            found += 1
+            with pytest.raises(ModelInvariantError):
+                build_growth_model(R, G.cone, bent)
+    assert found > 100  # the perturbations do reach the oracle
 
 
 @pytest.mark.parametrize("name, seed, gens, pieces", [
