@@ -1,17 +1,22 @@
 """Exact polyhedral computations over the rationals.
 
 Ray and vertex enumeration work by subset enumeration, which is
-exponential in the ambient dimension, so every entry point has a rank
-cap. That is fine here: the geometry this package needs
-lives in rank <= 4. All vectors are Fraction tuples paired by the plain
-dot product.
+exponential in the ambient dimension, so they have a rank cap; the
+geometry this package needs lives in rank <= 4. The projection
+min_norm_point is an exact dual active-set method and the feasibility
+test lp_feasible_eq a fraction-free Bland simplex; neither enumerates
+subsets, and the projection keeps a cap of its own two ranks higher. All
+vectors are Fraction tuples paired by the plain dot product.
 """
 
 from itertools import combinations
+from math import gcd
 
-from .errors import CapExceeded
+from .errors import CapExceeded, InternalError
 from .rational import (
     Q,
+    _cleared,
+    _primitive_ints,
     dot,
     is_zero,
     primitive,
@@ -19,6 +24,7 @@ from .rational import (
     solve,
     solve_unique,
     unit,
+    vec_add_scaled,
     vneg,
     vzero,
 )
@@ -110,53 +116,63 @@ def vertices_of_polyhedron(A, b):
     return tuple(out)
 
 
+def _eliminated(row, top, c):
+    """top[c] * row - row[c] * top over their gcd, kept primitive: zero in
+    column c, and for top[c] > 0 a positive multiple of the exact
+    difference row - (row[c] / top[c]) * top."""
+    g = gcd(top[c], row[c])
+    a, b = top[c] // g, row[c] // g
+    return _primitive_ints([a * x - b * y for x, y in zip(row, top)])
+
+
 def lp_feasible_eq(A, b):
     """One x >= 0 with Ax = b, or None. Exact phase-1 simplex.
 
-    Bland's rule, so termination is guaranteed.
+    Bland's rule, so termination is guaranteed. The tableau is kept in
+    integers: each row is a positive multiple of its Fraction counterpart
+    (the one with a 1 in its basic column), cleared of denominators and
+    kept primitive, and the reduced-cost row is a positive multiple too.
+    The ratio test and every sign test are invariant under such scaling,
+    so the pivots are those of the Fraction tableau.
     """
     m = len(A)
     if m == 0:
         return ()
     k = len(A[0])
-    T = []
-    for ai, bi in zip(A, b):
-        if bi < 0:
-            T.append([-x for x in ai] + [Q(0)] * m + [-bi])
-        else:
-            T.append(list(ai) + [Q(0)] * m + [bi])
-    for i in range(m):
-        T[i][k + i] = Q(1)
     ncols = k + m
+    signs = [-1 if bi < 0 else 1 for bi in b]
+    T = []
+    for i, (ai, bi, s) in enumerate(zip(A, b, signs)):
+        L, ints = _cleared([*ai, bi])
+        row = [s * x for x in ints[:k]] + [0] * m + [s * ints[k]]
+        row[k + i] = L
+        T.append(_primitive_ints(row))
+    # phase-1 cost: minus the sum of the sign-normalised rows
+    red = _primitive_ints(_cleared(
+        [-sum(s * ai[j] for ai, s in zip(A, signs)) for j in range(k)]
+        + [0] * m + [-sum(abs(bi) for bi in b)])[1])
     basis = list(range(k, ncols))
-    red = [-sum(T[i][j] for i in range(m)) for j in range(ncols + 1)]
-    for j in range(k, ncols):
-        red[j] += Q(1)
     while True:
         enter = next((j for j in range(ncols) if red[j] < 0), None)
         if enter is None:
             break
-        ratios = [(T[i][ncols] / T[i][enter], basis[i], i)
+        ratios = [(Q(T[i][ncols], T[i][enter]), basis[i], i)
                   for i in range(m) if T[i][enter] > 0]
         if not ratios:
             return None
         piv = min(ratios)[2]
-        p = T[piv][enter]
-        T[piv] = [x / p for x in T[piv]]
+        top = T[piv]
         for i in range(m):
-            if i != piv and T[i][enter] != 0:
-                f = T[i][enter]
-                T[i] = [x - f * y for x, y in zip(T[i], T[piv])]
-        f = red[enter]
-        if f != 0:
-            red = [x - f * y for x, y in zip(red, T[piv])]
+            if i != piv and T[i][enter]:
+                T[i] = _eliminated(T[i], top, enter)
+        red = _eliminated(red, top, enter)
         basis[piv] = enter
     if red[ncols] != 0:
         return None
     x = [Q(0)] * k
     for i, bv in enumerate(basis):
         if bv < k:
-            x[bv] = T[i][ncols]
+            x[bv] = Q(T[i][ncols], T[i][bv])
     return tuple(x)
 
 
@@ -173,28 +189,50 @@ def conic_member(gens, v):
 def min_norm_point(A, b, quad):
     """Minimize x^T quad x over {x : Ax >= b}; quad symmetric PD.
 
-    Exact active-set enumeration: a candidate passing the KKT sign and
-    feasibility checks is the unique global minimizer of this convex
-    program, so the first hit is returned. None means the polyhedron is
-    empty.
+    Exact dual active-set method (Goldfarb & Idnani 1983). It starts at
+    the unconstrained minimizer x = 0 and adds the first violated row p.
+    With N the active normals, which stay linearly independent, the KKT
+    system [[2 quad, N], [N^T, 0]] (z; r) = (a_p; 0) gives the primal
+    direction z and the multiplier change r. A full step along z makes p
+    tight and active; a smaller blocking ratio lambda_j / r_j (ties by
+    position) takes a partial step and drops row j. z = 0 with no
+    blocking multiplier proves the polyhedron empty, and None is
+    returned. Every full step raises the objective strictly and at most
+    one partial step per active row comes between two full steps, so in
+    exact arithmetic the method ends, at the unique minimizer.
     """
     m = len(A)
     n = len(quad)
     if n > DD_RANK_CAP_DEFAULT + 2:
         raise CapExceeded("projection rank", n, DD_RANK_CAP_DEFAULT + 2)
-    for size in range(0, n + 1):
-        for S in combinations(range(m), size):
-            sub = [A[i] for i in S]
-            M = [[2 * quad[i][j] for j in range(n)] + [-sub[s][i] for s in range(size)]
-                 for i in range(n)]
-            M.extend([list(sub[s]) + [Q(0)] * size for s in range(size)])
-            rhs = [Q(0)] * n + [b[i] for i in S]
-            sol = solve_unique(M, rhs)
+    two_quad = [[2 * q for q in row] for row in quad]
+    x = vzero(n)
+    active, lam = [], []
+    while True:
+        p = next((i for i in range(m) if dot(A[i], x) < b[i]), None)
+        if p is None:
+            return x
+        a_p, lam_p = A[p], Q(0)
+        while True:
+            q = len(active)
+            M = [row + [A[j][i] for j in active] for i, row in enumerate(two_quad)]
+            M.extend([*A[j], *[Q(0)] * q] for j in active)
+            sol = solve_unique(M, [*a_p, *[Q(0)] * q])
             if sol is None:
-                continue
-            x, lam = sol[:n], sol[n:]
-            if any(l < 0 for l in lam):
-                continue
-            if all(dot(A[i], x) >= b[i] for i in range(m)):
-                return tuple(x)
-    return None
+                raise InternalError(f"KKT system with {q} active rows is singular")
+            z, r = sol[:n], sol[n:]
+            block = min(((lam[j] / r[j], j) for j in range(q) if r[j] > 0), default=None)
+            if not is_zero(z):
+                t = (b[p] - dot(a_p, x)) / dot(z, a_p)
+                if block is None or t <= block[0]:
+                    x = vec_add_scaled(x, t, z)
+                    lam = [l - t * rj for l, rj in zip(lam, r)] + [lam_p + t]
+                    active.append(p)
+                    break
+            if block is None:
+                return None
+            t, drop = block
+            x = vec_add_scaled(x, t, z)
+            lam = [l - t * rj for l, rj in zip(lam, r)]
+            lam_p += t
+            del active[drop], lam[drop]
