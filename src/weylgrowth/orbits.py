@@ -254,13 +254,15 @@ def empirical_limit_cone(S: CartanSample, radius_cut: float):
     everything is collinear); other ranks return the deduped directions
     filtered to convex position.
     """
-    tail = [p for p, _ in S.points
-            if _norm(p) >= radius_cut and _norm(p) > 0]
-    if not tail:
+    dirs = []
+    for p, _ in S.points:
+        r = _norm(p)
+        if r >= radius_cut and r > 0:
+            dirs.append(tuple(x / r for x in p))
+    if not dirs:
         raise InputError("no sample points beyond the radius cut; "
                          "enumerate with a larger max_word_length")
     n = S.rank + 1
-    dirs = [tuple(x / _norm(p) for x in p) for p in tail]
     if S.rank == 2:
         u1 = (1 / math.sqrt(2), 0.0, -1 / math.sqrt(2))
         u2 = (1 / math.sqrt(6), -2 / math.sqrt(6), 1 / math.sqrt(6))
@@ -278,18 +280,31 @@ def empirical_limit_cone(S: CartanSample, radius_cut: float):
     return poly_cone(generators=tuple(kept), rank=n)
 
 
+# residual norm up to which a direction counts as a nonnegative combination
+# of the others: HiGHS's default primal feasibility tolerance, so that the
+# test agrees with a feasibility linear program solved by HiGHS
+_CONE_MEMBER_TOL = 1e-7
+
+
 def _convex_position(dirs):
-    """Drop directions that are nonnegative combinations of the others."""
-    from scipy.optimize import linprog
+    """Drop directions that are nonnegative combinations of the others.
+
+    Each direction in turn, against the directions still kept, is fitted
+    by nonnegative least squares (the Lawson-Hanson active-set method)
+    and dropped when the residual norm is at most _CONE_MEMBER_TOL.  A fit
+    that hits its iteration cap keeps the direction.
+    """
+    from scipy.optimize import nnls
 
     kept = list(dirs)
     i = 0
     while i < len(kept) and len(kept) > 1:
-        others = kept[:i] + kept[i + 1:]
-        A = np.array(others, dtype=float).T
-        res = linprog(c=np.zeros(len(others)), A_eq=A, b_eq=np.array(kept[i]),
-                      bounds=[(0, None)] * len(others), method="highs")
-        if res.status == 0:
+        A = np.array(kept[:i] + kept[i + 1:], dtype=float).T
+        try:
+            _, residual = nnls(A, np.array(kept[i]))
+        except RuntimeError:
+            residual = math.inf
+        if residual <= _CONE_MEMBER_TOL:
             kept.pop(i)
         else:
             i += 1
@@ -324,7 +339,8 @@ def estimate_exponent(S: CartanSample, mu) -> dict:
         raise InputError("insufficient spread in the fitting regime")
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = [y - (slope * x + intercept) for x, y in zip(xs, ys)]
-    ssxx = sum((x - sum(xs) / len(xs)) ** 2 for x in xs)
+    mean = sum(xs) / len(xs)
+    ssxx = sum((x - mean) ** 2 for x in xs)
     se = math.sqrt(sum(r * r for r in resid) / max(len(xs) - 2, 1) / ssxx)
     band = 1.96 * se
     return {

@@ -1,12 +1,15 @@
 """Orbit sampler: enumeration, projections, cones, exponent estimates."""
 
+import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-from weylgrowth import orbits
+from weylgrowth import cli, orbits
 from weylgrowth.errors import CapExceeded, InputError
 from weylgrowth.orbits import (
     ESTIMATE_FLAG,
@@ -350,6 +353,199 @@ def test_block_pair_matches_extended_precision_oracle():
             worst = max(worst, max(abs(a - b) for a, b in zip(pt, oracle)))
     # float pipeline must stay well inside the 1e-6 dedupe grid
     assert worst <= 1e-7
+
+
+# the recorded benchmark pool, read only
+POOL = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "data"
+                   / "orbits.json").read_text())
+
+
+def linprog_convex_position(dirs):
+    """Convex position by one HiGHS feasibility LP per direction.
+
+    The loop _convex_position replaced with nonnegative least squares; the
+    two must keep the same directions in the same order.
+    """
+    from scipy.optimize import linprog
+
+    kept = list(dirs)
+    i = 0
+    while i < len(kept) and len(kept) > 1:
+        others = kept[:i] + kept[i + 1:]
+        A = np.array(others, dtype=float).T
+        res = linprog(c=np.zeros(len(others)), A_eq=A, b_eq=np.array(kept[i]),
+                      bounds=[(0, None)] * len(others), method="highs")
+        if res.status == 0:
+            kept.pop(i)
+        else:
+            i += 1
+    return kept
+
+
+def cone_directions(monkeypatch, S, radius_cut):
+    """The deduped directions empirical_limit_cone filters, in its order."""
+    seen = []
+    real = orbits._convex_position
+    with monkeypatch.context() as m:
+        m.setattr(orbits, "_convex_position",
+                  lambda dirs: seen.append(list(dirs)) or real(dirs))
+        empirical_limit_cone(S, radius_cut)
+    return seen[0]
+
+
+def tail_cut(S, tail=40):
+    """The radius that keeps the tail farthest points, as the pool's cuts do."""
+    return sorted((math.sqrt(sum(x * x for x in p)) for p, _ in S.points),
+                  reverse=True)[tail - 1]
+
+
+# every sl4r and sl5r pool entry at its recorded cut (40 directions each);
+# at 0.6 of the cut, the sl4r and the sl5r entry with the fewest directions
+# (564 and 324), since the oracle takes 2-16 s per entry there
+CONE_CASES = ([(kind, i, 1.0) for kind in ("sl4r", "sl5r") for i in range(12)]
+              + [("sl4r", 0, 0.6), ("sl5r", 7, 0.6),
+                 ("seeded-sl4r", None, None), ("seeded-sl5r", None, None),
+                 ("block-pair-sl4", None, None)])
+
+
+@pytest.mark.parametrize("kind,index,scale", CONE_CASES)
+def test_convex_position_matches_linprog_oracle(monkeypatch, kind, index, scale):
+    if index is None:
+        spec = ORACLE_SPECS[kind.replace("seeded-", "")]
+        S = enumerate_orbit(spec)
+        cut = tail_cut(S)
+    else:
+        entry = POOL[kind][index]
+        S = enumerate_orbit(entry["spec"])
+        cut = entry["radius_cut"] * scale
+    dirs = cone_directions(monkeypatch, S, cut)
+    residuals = []
+    real = scipy.optimize.nnls
+
+    def recording(A, b, **kwargs):
+        x, r = real(A, b, **kwargs)
+        residuals.append(r)
+        return x, r
+
+    monkeypatch.setattr(scipy.optimize, "nnls", recording)
+    kept = orbits._convex_position(dirs)
+    assert kept == linprog_convex_position(dirs)
+    assert 1 < len(kept) < len(dirs)
+    # no verdict lies within two decades of the tolerance either way
+    assert all(r <= orbits._CONE_MEMBER_TOL / 100
+               or r >= orbits._CONE_MEMBER_TOL * 100 for r in residuals)
+
+
+def chamber_rays_sl4():
+    """Unit rays of the sl4r Weyl chamber: the fundamental weights."""
+    rays = [(3, -1, -1, -1), (1, 1, -1, -1), (1, 1, 1, -3)]
+    return [tuple(x / math.sqrt(sum(y * y for y in r)) for x in r) for r in rays]
+
+
+def combined_directions():
+    """Chamber rays, eight positive combinations, then a copy of the first ray."""
+    rays = chamber_rays_sl4()
+    rng = random.Random(11)
+    combos = []
+    for _ in range(8):
+        w = [rng.uniform(0.1, 1.0) for _ in rays]
+        combos.append(tuple(sum(wi * r[k] for wi, r in zip(w, rays))
+                            for k in range(4)))
+    return rays + combos + [rays[0]]
+
+
+def test_convex_position_keeps_only_chamber_rays():
+    dirs = combined_directions()
+    rays = chamber_rays_sl4()
+    # the first ray goes against its own copy; the copy then stays
+    assert orbits._convex_position(dirs) == [rays[1], rays[2], rays[0]]
+    assert linprog_convex_position(dirs) == [rays[1], rays[2], rays[0]]
+
+
+def test_convex_position_keeps_direction_when_nnls_gives_up(monkeypatch):
+    dirs = combined_directions()
+    rays = chamber_rays_sl4()
+    stuck = dirs[3]
+    real = scipy.optimize.nnls
+
+    def capped(A, b, **kwargs):
+        if tuple(b) == stuck:
+            raise RuntimeError("Maximum number of iterations reached.")
+        return real(A, b, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "nnls", capped)
+    assert orbits._convex_position(dirs) == [rays[1], rays[2], stuck, rays[0]]
+
+
+def test_orbit_cli_keeps_every_direction_when_nnls_gives_up(
+        monkeypatch, capsys, tmp_path):
+    entry = POOL["sl4r"][0]
+    dirs = cone_directions(monkeypatch, enumerate_orbit(entry["spec"]),
+                           entry["radius_cut"])
+
+    def capped(A, b, **kwargs):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr(scipy.optimize, "nnls", capped)
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(entry["spec"]))
+    code = cli.main(["orbit", str(path), "--radius-cut",
+                     repr(entry["radius_cut"])])
+    out = capsys.readouterr()
+    assert code == 0 and out.err == ""
+    assert json.loads(out.out)["cone_generators"] == [list(d) for d in dirs]
+
+
+# recorded from the HiGHS-based implementation on two pool entries; the
+# limit cone and the exponent fit must reproduce them bit for bit
+PINNED = {
+    ("sl3r", 0): {
+        "generators": [
+            [0.5138922948650304, 0.2925409151620144, -0.8064332100270448],
+            [0.8064332100270448, -0.2925409151620138, -0.513892294865031]],
+        "exponent": {
+            "estimate": 0.1855628987485248,
+            "band": [0.18030892962882825, 0.19081686786822136],
+            "regime": [2.6362487174987157, 5.272497434997431],
+            "points_used": 482, "flag": ESTIMATE_FLAG}},
+    ("sl4r", 0): {
+        "generators": [
+            [0.5677931046131357, 0.35955404842511857, -0.2204190745147378,
+             -0.7069280785235164],
+            [0.5475264659685181, 0.40456396293471464, -0.2719561694810285,
+             -0.6801342594222042],
+            [0.5468541227098057, 0.406189003903432, -0.27426496762818553,
+             -0.6787781589850522],
+            [0.5835957280456406, 0.3364247798971761, -0.21200266723227615,
+             -0.7080178407105404],
+            [0.5419418124803246, 0.42613642147619457, -0.31652928346569076,
+             -0.6515489504908285],
+            [0.6801342594222027, 0.2719561694810304, -0.40456396293471275,
+             -0.5475264659685204],
+            [0.7069280785235201, 0.22041907451473153, -0.35955404842511873,
+             -0.5677931046131331],
+            [0.708017840710542, 0.21200266723227423, -0.3364247798971772,
+             -0.583595728045639],
+            [0.6787781589850505, 0.27426496762818825, -0.4061890039034326,
+             -0.546854122709806],
+            [0.651548950490829, 0.31652928346569004, -0.4261364214761929,
+             -0.541941812480326]],
+        "exponent": {
+            "estimate": 0.3711489403448349,
+            "band": [0.36116749216780575, 0.3811303885218641],
+            "regime": [1.8086300874015548, 3.6172601748031097],
+            "points_used": 784, "flag": ESTIMATE_FLAG}},
+}
+
+
+@pytest.mark.parametrize("kind,index", sorted(PINNED))
+def test_pool_cone_and_exponent_pinned(kind, index):
+    entry = POOL[kind][index]
+    S = enumerate_orbit(entry["spec"])
+    C = empirical_limit_cone(S, entry["radius_cut"])
+    assert [[float(x) for x in g] for g in C.generators] == \
+        PINNED[kind, index]["generators"]
+    assert estimate_exponent(S, entry["mu"]) == PINNED[kind, index]["exponent"]
 
 
 def test_exponent_cyclic_is_near_zero():
