@@ -221,6 +221,9 @@ def _replay_rows(preset: str, seed: int, models: int) -> list:
 
 def cmd_check(args, cfg) -> int:
     seed = cfg["seed"]
+    for flag, count in (("--samples", args.samples), ("--models", args.models)):
+        if count < 1:
+            raise InputError(f"{flag} must be at least 1, got {count}")
     if args.suite == "lemmas":
         rows = [run_lemma_check(lemma, preset, samples=args.samples, seed=seed)
                 for lemma in LEMMA_ORDER for preset in CHECK_PRESETS]

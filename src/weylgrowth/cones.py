@@ -6,11 +6,14 @@ dual of a cone in a is a cone in a* and vice versa; no inner product is
 involved. Both representations are exact rational.
 """
 
+import math
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import CheckFailure, InputError
 from .polyhedra import DD_RANK_CAP_DEFAULT, conic_member, extreme_rays
 from .rational import (
+    cleared_rows,
     dot,
     identity,
     inverse,
@@ -20,12 +23,11 @@ from .rational import (
     primitive,
     rank as mat_rank,
     solve,
-    solve_unique,
+    transpose,
     vec,
-    vsub,
 )
 from .rootsystem import (
-    dominant_representative,
+    dominant_descent,
     json_rows,
     memo,
     vec_from_json,
@@ -151,25 +153,32 @@ def interior_dual_member(C: PolyCone, mu) -> bool:
     return all(dot(mu, g) > 0 for g in C.generators)
 
 
-def simple_root_coefficients(R, x):
-    """Exact expansion of a covector in the simple-root basis."""
-    cols = [[R.simple_roots[j][i] for j in range(R.rank)] for i in range(R.rank)]
-    return solve_unique(cols, list(x))
-
-
 def conv_hull_member(R, lam, mu) -> bool:
     """Is lam in the convex hull of the Weyl orbit of the dominant mu?
 
     Dominance-order criterion: true iff mu minus the dominant
     representative of lam is a nonnegative combination of simple roots.
+    The chamber rays are the dual basis of the simple roots up to
+    positive scale, so each coefficient has the sign of the pairing with
+    its ray.
     """
     lam = vec(lam)
     mu = vec(mu)
     if not R.is_dominant_covector(mu):
         raise InputError("conv_hull_member needs a dominant reference covector")
-    lam_plus, _ = dominant_representative(R, lam)
-    coeff = simple_root_coefficients(R, vsub(mu, lam_plus))
-    return all(c >= 0 for c in coeff)
+    lam_plus, _ = dominant_descent(R, lam)
+    return all(dot(mu, v) >= dot(lam_plus, v) for v in chamber_rays(R))
+
+
+@memo("orbit_ray_rows")
+def _orbit_ray_rows(R) -> tuple:
+    """(D, rows): D * w^T v for every w in W and chamber ray v, as integers
+    over one common denominator, with the ray's index; lam(w v) is then
+    dot(lam, w^T v)."""
+    pairs = [(j, matvec(transpose(w), v))
+             for w in weyl_group(R) for j, v in enumerate(chamber_rays(R))]
+    D, rows = cleared_rows([row for _, row in pairs])
+    return D, tuple(zip((j for j, _ in pairs), rows))
 
 
 def conv_hull_member_enumeration(R, lam, mu) -> bool:
@@ -183,13 +192,11 @@ def conv_hull_member_enumeration(R, lam, mu) -> bool:
     mu = vec(mu)
     if not R.is_dominant_covector(mu):
         raise InputError("conv_hull_member needs a dominant reference covector")
-    rays = chamber_rays(R)
-    bounds = [(v, dot(mu, v)) for v in rays]
-    for w in weyl_group(R):
-        wl = matvec(w, lam)
-        if any(dot(wl, v) > b for v, b in bounds):
-            return False
-    return True
+    D, rows = _orbit_ray_rows(R)
+    L, (lam_ints,) = cleared_rows([lam])
+    # an integer exceeds a rational bound iff it exceeds the bound's floor
+    bounds = [math.floor(dot(mu, v) * L * D) for v in chamber_rays(R)]
+    return all(sum(map(mul, lam_ints, row)) <= bounds[j] for j, row in rows)
 
 
 def lemma_positivity(vs, u, gram=None):

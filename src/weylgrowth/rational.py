@@ -123,6 +123,16 @@ def _cleared(row) -> tuple[int, list[int]]:
     return L, [x.numerator * (L // x.denominator) for x in row]
 
 
+def cleared_rows(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D, D * rows) for D the lcm of every entry's denominator.
+
+    One positive scale for the whole family, so integer pairings against
+    the rows keep their signs, equalities and ratios.
+    """
+    D = lcm(*(x.denominator for row in rows for x in row))
+    return D, tuple(tuple(x.numerator * (D // x.denominator) for x in row) for row in rows)
+
+
 def _primitive_ints(row: list[int]) -> list[int]:
     g = gcd(*row)
     return [x // g for x in row] if g > 1 else row

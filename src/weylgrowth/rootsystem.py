@@ -20,10 +20,12 @@ from .errors import CapExceeded, InputError, InternalError
 from .rational import (
     Mat,
     Vec,
+    cleared_rows,
     dot,
     identity,
     inverse,
     is_positive_definite,
+    lincomb,
     mat,
     matmul,
     matvec,
@@ -455,10 +457,15 @@ def reflection_matrix(R: RootSystem, alpha: Vec) -> Mat:
                        for j in range(n)) for i in range(n))
 
 
+@memo("simple_reflections")
+def simple_reflections(R: RootSystem) -> tuple[Mat, ...]:
+    return tuple(reflection_matrix(R, a) for a in R.simple_roots)
+
+
 @memo("weyl_group")
 def weyl_group(R: RootSystem, cap: int = WEYL_CAP_DEFAULT) -> tuple[Mat, ...]:
     """Every element of W as a matrix on covector coordinates."""
-    gens = [reflection_matrix(R, a) for a in R.simple_roots]
+    gens = simple_reflections(R)
     ident = identity(R.rank)
     known = {ident}
     frontier = [ident]
@@ -481,19 +488,59 @@ def vector_action(R: RootSystem, w: Mat) -> Mat:
     return matmul(R.inner_product, matmul(w, R.gram_inv))
 
 
-def dominant_representative(R: RootSystem, lam: Vec) -> tuple[Vec, Mat]:
-    """(lam+, w) with w lam = lam+ dominant; repeated reflections at negative walls."""
+@memo("descent_data")
+def _descent_data(R: RootSystem) -> tuple:
+    """(C, 2/<a_i, a_i>) for the Cartan matrix C[i][j] = 2<a_i, a_j>/<a_i, a_i>.
+
+    The entries of C are integers (the positive closure rejects any other
+    pair), and s_i moves the simple-root pairings of a covector x by
+    <s_i x, a_j> = <x, a_j> - <x, a_i> C[i][j].
+    """
+    gas = gram_images(R)[0]
+    scales = tuple(2 / dot(a, ga) for a, ga in zip(R.simple_roots, gas))
+    C = tuple(tuple(int(s * dot(b, ga)) for b in R.simple_roots)
+              for s, ga in zip(scales, gas))
+    return C, scales
+
+
+def dominant_descent(R: RootSystem, lam: Vec) -> tuple[Vec, tuple[int, ...]]:
+    """(lam+, word): reflecting lam at the simple roots of word, in order,
+    gives the dominant lam+.
+
+    Each step reflects at the first simple root that pairs negatively.  The
+    pairings are integers over one common denominator, updated through the
+    Cartan matrix; lam+ is formed once, from the summed reflection shifts.
+    """
     x = vec(lam)
+    den, (P,) = cleared_rows([tuple(dot(x, ga) for ga in gram_images(R)[0])])
+    C, scales = _descent_data(R)
+    shift = [0] * R.rank
+    word = []
+    for _ in range(10 * len(R.pos_roots) + 10):
+        i = next((j for j, p in enumerate(P) if p < 0), None)
+        if i is None:
+            break
+        # s_i x = x - (2<x, a_i>/<a_i, a_i>) a_i
+        p = P[i]
+        word.append(i)
+        shift[i] += p
+        P = [q - p * c for q, c in zip(P, C[i])]
+    else:
+        raise InternalError("dominant descent failed to terminate")
+    if not word:
+        return x, ()
+    coeffs = [Q(t, den) * s for t, s in zip(shift, scales)]
+    return vsub(x, lincomb(coeffs, R.simple_roots)), tuple(word)
+
+
+def dominant_representative(R: RootSystem, lam: Vec) -> tuple[Vec, Mat]:
+    """(lam+, w) with w lam = lam+ dominant: the descent with its group element."""
+    x, word = dominant_descent(R, lam)
     w = identity(R.rank)
-    guard = 10 * len(R.pos_roots) + 10
-    pairs = tuple(zip(R.simple_roots, gram_images(R)[0]))
-    for _ in range(guard):
-        a = next((a for a, ga in pairs if dot(x, ga) < 0), None)
-        if a is None:
-            return x, w
-        x = R.reflect(x, a)
-        w = matmul(reflection_matrix(R, a), w)
-    raise InternalError("dominant descent failed to terminate")
+    gens = simple_reflections(R)
+    for i in word:
+        w = matmul(gens[i], w)
+    return x, w
 
 
 @memo("opposition_involution")

@@ -12,17 +12,20 @@ without ever asserting the conclusion on its own authority.
 
 import math
 import random
+from operator import mul
 
 from .errors import CheckFailure, InputError
 from .rational import (
     Q,
+    cleared_rows,
     collinear,
     dot,
+    inverse,
     is_zero,
     lincomb,
     nonneg_multiple_of,
     primitive,
-    solve_unique,
+    rank as mat_rank,
     to_float,
     vec,
     vec_add_scaled,
@@ -40,7 +43,7 @@ from .rootsystem import (
     rho,
     strongly_orthogonal_theta,
 )
-from .cones import avoids_facet, chamber_rays, closure, lemma_positivity, poly_cone
+from .cones import avoids_facet, chamber_rays, closure, poly_cone
 from .growth import (
     NEG_INF,
     POS_INF,
@@ -62,22 +65,6 @@ def _simple_index(R: RootSystem, alpha) -> int:
     raise InputError(f"{alpha} is not a simple root of {R.label}")
 
 
-def _her_dominant(R: RootSystem, mu):
-    """Guard: exact dominant involution-invariant covector."""
-    mu = vec(mu)
-    if len(mu) != R.rank:
-        raise InputError("covector length must equal the rank")
-    if not R.is_dominant_covector(mu):
-        raise InputError("precondition failure: covector is not dominant")
-    # iota(w_i) = w_sigma(i) and iota is an isometric involution, so
-    # <iota(mu), w_i> = <mu, w_sigma(i)>: mu is invariant iff those agree
-    gws = gram_images(R)[1]
-    if any(dot(mu, gws[i]) != dot(mu, gws[j])
-           for i, j in iota_permutation(R).items() if i < j):
-        raise InputError("precondition failure: covector is not involution-invariant")
-    return mu
-
-
 def invariant_direction(R: RootSystem, alpha):
     """w_a + iota(w_a): the dominant invariant direction attached to a wall."""
     i = _simple_index(R, alpha)
@@ -86,6 +73,67 @@ def invariant_direction(R: RootSystem, alpha):
 
 
 # -- unconditional lemma checks ---------------------------------------------
+#
+# Every lemma test here is homogeneous in its sample: scaling the sample by
+# a positive integer changes neither hypothesis nor conclusion.  So each
+# sample is decided as one integer row, a positive multiple of the
+# covector, against constant data cleared to integers over one common
+# denominator per family (fraction-free, as rational._rref is).  Fractions
+# are built only to report a failure.  check_keylemma and check_posofweight
+# are one-sample calls of the batch tests.
+
+# a multiple of every denominator the lemma batches draw (1 to 5), so a
+# drawn coefficient times _DRAW_SCALE is an integer
+_DRAW_SCALE = 60
+
+
+def _idot(x, y) -> int:
+    return sum(map(mul, x, y))
+
+
+def _as_fractions(x, scale) -> tuple:
+    return tuple(Q(v, scale) for v in x)
+
+
+@memo("pairing_ints")
+def _pairing_ints(R: RootSystem) -> tuple:
+    """((D_a, G a_i rows), (D_w, G w_i rows), iota-swapped pairs i < j).
+
+    Each family of gram_images rows is cleared to integers over its own
+    common denominator D.
+    """
+    gas, gws = gram_images(R)
+    pairs = tuple((i, j) for i, j in iota_permutation(R).items() if i < j)
+    return cleared_rows(gas), cleared_rows(gws), pairs
+
+
+def _her_pairings(R: RootSystem, x) -> tuple[list, list]:
+    """Guard: the integer covector x is dominant and involution-invariant.
+
+    Returns its pairings with the simple roots and with the fundamental
+    weights, each family up to its own positive scale.
+    """
+    (_, gas), (_, gws), pairs = _pairing_ints(R)
+    pa = [_idot(x, g) for g in gas]
+    if min(pa) < 0:
+        raise InputError("precondition failure: covector is not dominant")
+    # iota(w_i) = w_sigma(i) and iota is an isometric involution, so
+    # <iota(mu), w_i> = <mu, w_sigma(i)>: mu is invariant iff those agree
+    pw = [_idot(x, g) for g in gws]
+    if any(pw[i] != pw[j] for i, j in pairs):
+        raise InputError("precondition failure: covector is not involution-invariant")
+    return pa, pw
+
+
+def _covector_ints(R: RootSystem, mu) -> tuple[tuple, int, list]:
+    """(mu, L, L * mu as integers) for an input covector, L its lcm of
+    denominators, after the guards; InputError otherwise."""
+    mu = vec(mu)
+    if len(mu) != R.rank:
+        raise InputError("covector length must equal the rank")
+    L, (x,) = cleared_rows([mu])
+    _her_pairings(R, x)
+    return mu, L, x
 
 
 @memo("keylemma_walls")
@@ -110,6 +158,47 @@ def _posofweight_walls(R: RootSystem) -> tuple:
     return tuple(out)
 
 
+@memo("keylemma_ints")
+def _keylemma_ints(R: RootSystem) -> tuple:
+    """Per wall: (t with u[t] != 0, u and its pairings <u, w_b> each cleared
+    to integers, whether every pairing is positive)."""
+    out = []
+    for u, dens in _keylemma_walls(R):
+        (u,), (d,) = cleared_rows([u])[1], cleared_rows([dens])[1]
+        out.append((next(k for k, c in enumerate(u) if c), u, d, min(d) > 0))
+    return tuple(out)
+
+
+def _keylemma_verdicts(R: RootSystem, x, walls) -> list:
+    """(hypothesis, conclusion) of the collinearity lemma at each wall index,
+    for the integer covector x, a positive multiple of mu.
+
+    The ratio test is cross-multiplied with positive denominators.  mu is
+    a nonnegative multiple of u iff its 2x2 minors against u vanish in the
+    column t where u is nonzero, and mu[t] has the sign of u[t].
+    """
+    _, pw = _her_pairings(R, x)
+    data = _keylemma_ints(R)
+    out = []
+    for i in walls:
+        t, u, d, positive = data[i]
+        if not positive:
+            raise InputError("weight pairings must be strictly positive; "
+                             "the ratio family needs an irreducible system")
+        p_i, d_i = pw[i], d[i]
+        hyp = all(p * d_i <= p_i * e for p, e in zip(pw, d))
+        u_t, x_t = u[t], x[t]
+        concl = x_t * u_t >= 0 and all(u_t * a == x_t * b for a, b in zip(x, u))
+        out.append((hyp, concl))
+    return out
+
+
+def _keylemma_error(R: RootSystem, mu, i) -> str:
+    return (f"collinearity lemma falsified: mu={mu} passes the ratio test "
+            f"for wall {R.simple_roots[i]} but is not a multiple of "
+            f"{_keylemma_walls(R)[i][0]}")
+
+
 def check_keylemma(R: RootSystem, mu, alpha) -> dict:
     """Wall-ratio dominance forces collinearity with the wall direction.
 
@@ -119,26 +208,52 @@ def check_keylemma(R: RootSystem, mu, alpha) -> dict:
     because this is a theorem about the weight geometry, not a property
     of any particular model.
     """
-    mu = _her_dominant(R, mu)
+    mu, _, x = _covector_ints(R, mu)
     i = _simple_index(R, alpha)
-    u, dens = _keylemma_walls(R)[i]
-    gws = gram_images(R)[1]
-    if any(d <= 0 for d in dens):
-        raise InputError("weight pairings must be strictly positive; "
-                         "the ratio family needs an irreducible system")
-    # cross-multiplied with positive denominators, so exact
-    mu_i = dot(mu, gws[i])
-    hyp = all(dot(mu, gws[b]) * dens[i] <= mu_i * dens[b] for b in range(R.rank))
-    concl = nonneg_multiple_of(mu, u)
+    [(hyp, concl)] = _keylemma_verdicts(R, x, (i,))
     if hyp and not concl:
-        raise CheckFailure(
-            f"collinearity lemma falsified: mu={mu} passes the ratio test "
-            f"for wall {vec(alpha)} but is not a multiple of {u}")
+        raise CheckFailure(_keylemma_error(R, mu, i))
     mult = None
     if concl:
+        u = _keylemma_walls(R)[i][0]
         mult = Q(0) if is_zero(mu) else next(
             mu[k] / u[k] for k in range(R.rank) if u[k] != 0)
     return {"hypothesis_holds": hyp, "conclusion_holds": concl, "multiple": mult}
+
+
+@memo("posofweight_ints")
+def _posofweight_ints(R: RootSystem) -> tuple:
+    """Per wall: (den > 0, A, B) such that the bound
+    <mu, a_i> * den <= <mu, w_i> * num reads pa[i] * A <= pw[i] * B on the
+    integer pairings of _her_pairings, for (den, num) the wall's pair."""
+    (Da, _), (Dw, _), _ = _pairing_ints(R)
+    return tuple((den > 0, Dw * den.numerator * num.denominator,
+                  Da * num.numerator * den.denominator)
+                 for den, num in _posofweight_walls(R))
+
+
+def _posofweight_sides(R: RootSystem, mu, i) -> tuple:
+    gas, gws = gram_images(R)
+    den, num = _posofweight_walls(R)[i]
+    return dot(mu, gas[i]) * den, dot(mu, gws[i]) * num
+
+
+def _posofweight_errors(R: RootSystem, x, scale, walls) -> list:
+    """(wall index, message) for each wall where the root-pairing bound
+    fails at mu = x / scale, x an integer row."""
+    pa, pw = _her_pairings(R, x)
+    data = _posofweight_ints(R)
+    out = []
+    for i in walls:
+        positive, A, B = data[i]
+        if not positive:
+            out.append((i, f"weight/root pairing degenerated at {R.simple_roots[i]}"))
+        elif pa[i] * A > pw[i] * B:
+            mu = _as_fractions(x, scale)
+            lhs, rhs = _posofweight_sides(R, mu, i)
+            out.append((i, f"root-pairing bound falsified at mu={mu}, "
+                           f"wall={R.simple_roots[i]}: {lhs} > {rhs}"))
+    return out
 
 
 def check_posofweight(R: RootSystem, mu, alpha) -> dict:
@@ -148,28 +263,29 @@ def check_posofweight(R: RootSystem, mu, alpha) -> dict:
     the shared denominator <w_a, a + ia> equals half the squared length
     of a (doubled when ia = a) and is always positive.
     """
-    mu = _her_dominant(R, mu)
-    alpha = vec(alpha)
+    mu, L, x = _covector_ints(R, mu)
     i = _simple_index(R, alpha)
-    gas, gws = gram_images(R)
-    den, num = _posofweight_walls(R)[i]
-    if den <= 0:
-        raise CheckFailure(f"weight/root pairing degenerated at {alpha}")
-    lhs = dot(mu, gas[i]) * den
-    rhs = dot(mu, gws[i]) * num
-    if lhs > rhs:
-        raise CheckFailure(
-            f"root-pairing bound falsified at mu={mu}, wall={alpha}: "
-            f"{lhs} > {rhs}")
+    for _, error in _posofweight_errors(R, x, L, (i,)):
+        raise CheckFailure(error)
+    lhs, rhs = _posofweight_sides(R, mu, i)
     return {"holds": True, "slack": rhs - lhs}
 
 
-def _random_chamber_point(R: RootSystem, rng) -> tuple:
+@memo("ray_gram_ints")
+def _ray_gram_ints(R: RootSystem) -> tuple:
+    """<v_a, v_b> for the chamber rays, through gram_inv, as integers over
+    one common denominator."""
     rays = chamber_rays(R)
+    return cleared_rows([[R.ip_vec(a, b) for b in rays] for a in rays])[1]
+
+
+def _chamber_draw(rng, n) -> list:
+    """_DRAW_SCALE times the ray coefficients of a random nonzero chamber
+    point; the rays are a basis, so the point is zero iff they all are."""
     while True:
-        v = lincomb([Q(rng.randint(0, 8), rng.randint(1, 5)) for _ in rays], rays)
-        if not is_zero(v):
-            return v
+        c = [rng.randint(0, 8) * (_DRAW_SCALE // rng.randint(1, 5)) for _ in range(n)]
+        if any(c):
+            return c
 
 
 def check_rightangles(R: RootSystem, samples: int = 100, seed: int = 0) -> dict:
@@ -178,22 +294,25 @@ def check_rightangles(R: RootSystem, samples: int = 100, seed: int = 0) -> dict:
     The Gram matrix of the chamber rays is a finite certificate: every
     chamber point is a nonnegative ray combination, so positive ray
     pairings force positivity everywhere.  Random samples exercise the
-    same fact with mixed denominators.  Needs irreducibility; a product
+    same fact with mixed denominators, each pair decided as one integer
+    form in its ray coefficients.  Needs irreducibility; a product
     system has orthogonal chamber directions.
     """
     if len(R.irreducible_components()) != 1:
         raise InputError("chamber positivity needs an irreducible system")
     rays = chamber_rays(R)
-    for a in rays:
-        for b in rays:
-            if R.ip_vec(a, b) <= 0:
+    M = _ray_gram_ints(R)
+    for a, row in zip(rays, M):
+        for b, m in zip(rays, row):
+            if m <= 0:
                 raise CheckFailure(f"chamber rays {a}, {b} fail strict positivity")
     rng = random.Random(seed)
     failures = []
     for _ in range(samples):
-        v = _random_chamber_point(R, rng)
-        w = _random_chamber_point(R, rng)
-        if R.ip_vec(v, w) <= 0:
+        cv = _chamber_draw(rng, len(rays))
+        cw = _chamber_draw(rng, len(rays))
+        if _idot(cv, [_idot(row, cw) for row in M]) <= 0:
+            v, w = (lincomb(_as_fractions(c, _DRAW_SCALE), rays) for c in (cv, cw))
             failures.append({"v": [str(x) for x in v], "w": [str(x) for x in w]})
     return {"ray_certificate": True, "samples": samples, "failures": failures}
 
@@ -462,47 +581,58 @@ def reproduce_b3_remark(samples: int = 60, seed: int = 0) -> dict:
 # -- batch property runs -----------------------------------------------------
 
 
-def _batch_keylemma(R, samples, seed):
+@memo("class_columns")
+def _class_columns(R: RootSystem) -> tuple:
+    """The columns of the invariant classes w + iota(w), as integers (the
+    classes are primitive), so coefficients c give coordinates c . col."""
+    return tuple(tuple(int(v) for v in col) for col in zip(*dominant_iota_classes(R)))
+
+
+def _her_draws(R: RootSystem, samples: int, seed: int, wall_multiples: bool):
+    """_DRAW_SCALE times each seeded dominant invariant covector, as an
+    integer row: a nonnegative rational combination of the classes, where
+    a draw below 0.25 leaves that class uncharged.  With wall_multiples,
+    every fourth sample is a single class times a rational instead."""
     rng = random.Random(seed)
-    classes = dominant_iota_classes(R)
-    failures = []
+    cols = _class_columns(R)
+    n = len(cols[0])
     for k in range(samples):
-        if k % 4 == 0:
-            # exercise the hypothesis-true side with exact wall multiples
-            mu = vscale(Q(rng.randint(0, 8), rng.randint(1, 3)),
-                        classes[rng.randrange(len(classes))])
+        if wall_multiples and k % 4 == 0:
+            c = [0] * n
+            s = rng.randint(0, 8) * (_DRAW_SCALE // rng.randint(1, 3))
+            c[rng.randrange(n)] = s
         else:
-            mu = _random_her_covector(R, rng, classes)
-        for a in R.simple_roots:
-            try:
-                check_keylemma(R, mu, a)
-            except CheckFailure as e:
-                failures.append({"mu": [str(x) for x in mu],
-                                 "wall": [str(x) for x in a], "error": str(e)})
+            c = [0 if rng.random() < 0.25
+                 else rng.randint(0, 9) * (_DRAW_SCALE // rng.randint(1, 4))
+                 for _ in range(n)]
+        yield [_idot(c, col) for col in cols]
+
+
+def _lemma_failure(x, wall, error) -> dict:
+    return {"mu": [str(v) for v in _as_fractions(x, _DRAW_SCALE)],
+            "wall": [str(v) for v in wall], "error": error}
+
+
+def _batch_keylemma(R, samples, seed):
+    walls = range(R.rank)
+    failures = []
+    # every fourth sample exercises the hypothesis-true side with an exact
+    # wall multiple
+    for x in _her_draws(R, samples, seed, wall_multiples=True):
+        for i, (hyp, concl) in zip(walls, _keylemma_verdicts(R, x, walls)):
+            if hyp and not concl:
+                error = _keylemma_error(R, _as_fractions(x, _DRAW_SCALE), i)
+                failures.append(_lemma_failure(x, R.simple_roots[i], error))
     return samples, failures
 
 
 def _batch_posofweight(R, samples, seed):
-    rng = random.Random(seed)
-    classes = dominant_iota_classes(R)
+    walls = range(R.rank)
     failures = []
-    for _ in range(samples):
-        mu = _random_her_covector(R, rng, classes)
-        for a in R.simple_roots:
-            try:
-                check_posofweight(R, mu, a)
-            except CheckFailure as e:
-                failures.append({"mu": [str(x) for x in mu],
-                                 "wall": [str(x) for x in a], "error": str(e)})
+    for x in _her_draws(R, samples, seed, wall_multiples=False):
+        for i, error in _posofweight_errors(R, x, _DRAW_SCALE, walls):
+            failures.append(_lemma_failure(x, R.simple_roots[i], error))
     return samples, failures
-
-
-def _random_her_covector(R, rng, classes):
-    """Nonnegative rational combination of the invariant weight directions."""
-    # a draw below 0.25 leaves that wall uncharged
-    return lincomb([Q(0) if rng.random() < 0.25
-                    else Q(rng.randint(0, 9), rng.randint(1, 4)) for _ in classes],
-                   classes)
 
 
 def _batch_rightangles(R, samples, seed):
@@ -510,22 +640,53 @@ def _batch_rightangles(R, samples, seed):
     return report["samples"], report["failures"]
 
 
+@memo("positivity_subset")
+def _positivity_subset(R: RootSystem, subset: tuple) -> tuple:
+    """For a sorted tuple of simple-root indices: (their Gram matrix E * g
+    as integers, whether its off-diagonal entries are all nonpositive,
+    D * g^-1 as integers, D); InputError unless the roots are independent."""
+    vs = [R.simple_roots[i] for i in subset]
+    if mat_rank(vs) != len(vs):
+        raise InputError("precondition failure: vectors are not independent")
+    g = [[R.ip(a, b) for b in vs] for a in vs]
+    gram = cleared_rows(g)[1]
+    nonpositive = all(gram[a][b] <= 0 for a in range(len(vs)) for b in range(a))
+    D, inv = cleared_rows(inverse(g))
+    return gram, nonpositive, inv, D
+
+
 def _batch_positivity(R, samples, seed):
+    """The positivity lemma on random simple-root subsets.  u is built to
+    pair with the drawn roots as the drawn d does, so it lies in their span
+    and its coefficients are g^-1 d; the lemma says they are nonnegative."""
     rng = random.Random(seed)
     failures = []
     for _ in range(samples):
         k = rng.randint(1, R.rank)
         sel = rng.sample(range(R.rank), k)
-        vs = [R.simple_roots[i] for i in sel]
-        gram_sel = [[R.ip(vs[a], vs[b]) for b in range(k)] for a in range(k)]
-        d = [Q(rng.randint(0, 7), rng.randint(1, 3)) for _ in range(k)]
-        # u is built to pair with vs exactly as d does, all entries >= 0
-        u = lincomb(solve_unique(gram_sel, d), vs)
-        try:
-            lemma_positivity(vs, u, gram=R.inner_product)
-        except CheckFailure as e:
-            failures.append({"subset": sel, "pairings": [str(t) for t in d],
-                             "error": str(e)})
+        d = [rng.randint(0, 7) * (_DRAW_SCALE // rng.randint(1, 3)) for _ in range(k)]
+        subset = tuple(sorted(sel))
+        gram, nonpositive, inv, D = _positivity_subset(R, subset)
+        # drawn position -> position in the sorted subset
+        pos = [subset.index(s) for s in sel]
+        if not nonpositive:
+            a, b = next((a, b) for a in range(k) for b in range(a + 1, k)
+                        if gram[pos[a]][pos[b]] > 0)
+            raise InputError(
+                f"precondition failure: vectors {a},{b} have positive inner product")
+        ds = [0] * k
+        for p, v in zip(pos, d):
+            ds[p] = v
+        c = [_idot(row, ds) for row in inv]
+        paired = [_idot(row, c) for row in gram]
+        if min(paired) < 0:
+            a = next(a for a, p in enumerate(pos) if paired[p] < 0)
+            raise InputError(f"precondition failure: u pairs negatively with vector {a}")
+        if min(c) < 0:
+            coeff = tuple(Q(c[p], D * _DRAW_SCALE) for p in pos)
+            failures.append({"subset": sel,
+                             "pairings": [str(v) for v in _as_fractions(d, _DRAW_SCALE)],
+                             "error": f"positivity lemma failed: coefficients {coeff}"})
     return samples, failures
 
 
@@ -562,6 +723,8 @@ def run_lemma_check(lemma: str, preset, samples: int = 1000, seed: int = 0,
     "consistency" raises CheckFailure on any recorded failure; "report"
     just counts.  preset may be a name or a built system.
     """
+    if samples < 0:
+        raise InputError(f"samples must be nonnegative, got {samples}")
     R = preset if isinstance(preset, RootSystem) else build_root_system(preset)
     try:
         runner = _LEMMA_RUNNERS[lemma]

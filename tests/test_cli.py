@@ -238,6 +238,19 @@ def test_check_replays_suite(capsys):
     assert obj["rows"] > 6
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--suite", "lemmas", "--samples", "-5"], "--samples"),
+    (["--suite", "lemmas", "--samples", "0"], "--samples"),
+    (["--suite", "replays", "--models", "-2"], "--models"),
+    (["--suite", "replays", "--models", "0"], "--models"),
+])
+def test_check_counts_below_one_are_input_errors(capsys, argv, flag):
+    code, out, err = run(capsys, ["check", *argv])
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and flag in err
+    assert "Traceback" not in err
+
+
 def test_check_failure_maps_to_exit_1(capsys, monkeypatch):
     def fake(lemma, preset, samples, seed):
         return {"lemma": lemma, "preset": preset, "samples": samples,

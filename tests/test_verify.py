@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +14,8 @@ from weylgrowth.critical import critical_data, theta_mu
 from weylgrowth.errors import CheckFailure, InputError
 from weylgrowth.growth import (build_growth_model, modified_cone_nonempty,
                                modified_limit_cone, random_growth_model)
-from weylgrowth.rational import dot, vadd, vec, vscale, vsub
+from weylgrowth import verify
+from weylgrowth.rational import dot, lincomb, vadd, vec, vscale, vsub
 from weylgrowth.rootsystem import (apply_iota, build_root_system,
                                    fundamental_weights, rho)
 from weylgrowth.verify import (
@@ -27,7 +32,10 @@ from weylgrowth.verify import (
     run_lemma_check,
 )
 
+import lemma_oracle
 from lp_oracle import lp_feasible_ineq
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 A1 = (1, -1)
 A2 = (0, 1)
@@ -486,3 +494,131 @@ def test_run_lemma_check_interface():
                              mode="consistency")
     assert report["mode"] == "consistency"
     assert report["preset"] == "b2"
+
+
+def test_run_lemma_check_rejects_negative_samples():
+    with pytest.raises(InputError, match="nonnegative"):
+        run_lemma_check("keylemma", "b2", samples=-5)
+    assert run_lemma_check("keylemma", "b2", samples=0)["samples"] == 0
+
+
+# -- integer batches against the per-sample Fraction oracles --------------------
+
+
+def _fractions(x):
+    return tuple(Q(v, verify._DRAW_SCALE) for v in x)
+
+
+@pytest.mark.parametrize("preset", ["a2", "a3", "b2", "b3", "g2", "so(2,5)", "d4", "e6"])
+def test_keylemma_batch_matches_oracle(preset):
+    R = build_root_system(preset)
+    walls = range(R.rank)
+    draws = verify._her_draws(R, 2000, 7, wall_multiples=True)
+    seen = set()
+    for x, mu in zip(draws, lemma_oracle.keylemma_draws(R, 2000, 7), strict=True):
+        assert _fractions(x) == mu
+        got = verify._keylemma_verdicts(R, x, walls)
+        assert got == [lemma_oracle.keylemma(R, mu, i) for i in walls], mu
+        seen.update(got)
+    # the hypothesis never holds without the conclusion; it fails somewhere
+    # unless every sample is a wall multiple (a single involution class)
+    assert (True, True) in seen and (True, False) not in seen
+    assert ((False, False) in seen) == (preset != "a2")
+
+
+_KEYLEMMA_WALLS = verify._keylemma_walls
+_POSOFWEIGHT_WALLS = verify._posofweight_walls
+
+
+def _broken_keylemma_walls(R):
+    # each wall direction negated: the ratio test is untouched, so every
+    # nonzero sample that passes it fails the conclusion
+    return tuple((tuple(-c for c in u), dens) for u, dens in _KEYLEMMA_WALLS(R))
+
+
+def _broken_posofweight_walls(R):
+    # the first wall degenerates; the others bound <mu, a> by -<mu, w> num
+    walls = _POSOFWEIGHT_WALLS(R)
+    return ((Q(0), walls[0][1]),) + tuple((den, -num) for den, num in walls[1:])
+
+
+@pytest.mark.parametrize("preset", ["a3", "b3", "g2", "e6"])
+def test_batch_failures_equal_oracle_failures(preset, monkeypatch):
+    monkeypatch.setattr(verify, "_keylemma_walls", _broken_keylemma_walls)
+    monkeypatch.setattr(verify, "_posofweight_walls", _broken_posofweight_walls)
+    for lemma, oracle in (("keylemma", lemma_oracle.batch_keylemma),
+                          ("posofweight", lemma_oracle.batch_posofweight)):
+        R = build_root_system(preset)
+        report = run_lemma_check(lemma, R, samples=200, seed=3)
+        expected = oracle(build_root_system(preset), 200, 3)
+        assert expected and report["failures"] == expected, lemma
+    assert any("degenerated" in f["error"] for f in expected)
+    assert any("falsified" in f["error"] for f in expected)
+    # the one-sample calls report the same failures
+    R = build_root_system(preset)
+    a = R.simple_roots[0]
+    with pytest.raises(CheckFailure, match="collinearity lemma falsified"):
+        check_keylemma(R, invariant_direction(R, a), a)
+    with pytest.raises(CheckFailure, match="degenerated"):
+        check_posofweight(R, invariant_direction(R, a), a)
+
+
+@pytest.mark.parametrize("preset", ["a3", "b3", "so(2,5)", "e6"])
+def test_positivity_batch_matches_oracle(preset, monkeypatch):
+    real = verify._positivity_subset
+
+    def flipped(R, subset):
+        # Gram matrix and inverse both negated: u still pairs with the
+        # roots as drawn, and every nonzero coefficient vector turns negative
+        gram, nonpositive, inv, D = real(R, subset)
+        neg = lambda rows: tuple(tuple(-v for v in row) for row in rows)  # noqa: E731
+        return neg(gram), nonpositive, neg(inv), D
+
+    monkeypatch.setattr(verify, "_positivity_subset", flipped)
+    R = build_root_system(preset)
+    expected = [{"subset": sel, "pairings": [str(t) for t in d],
+                 "error": f"positivity lemma failed: coefficients "
+                          f"{tuple(-c for c in coeff)}"}
+                for sel, d, coeff in lemma_oracle.positivity_draws(R, 300, 5)
+                if any(coeff)]
+    report = run_lemma_check("positivity", R, samples=300, seed=5)
+    assert expected and report["failures"] == expected
+    # unflipped, the batch and the oracle agree that nothing fails
+    monkeypatch.setattr(verify, "_positivity_subset", real)
+    assert run_lemma_check("positivity", build_root_system(preset),
+                           samples=300, seed=5)["failures"] == []
+
+
+@pytest.mark.parametrize("preset", ["a2", "b3", "g2", "e6"])
+def test_rightangles_draws_and_form_match_oracle(preset):
+    R = build_root_system(preset)
+    rays = chamber_rays(R)
+    M = verify._ray_gram_ints(R)
+    ours, theirs = random.Random(4), random.Random(4)
+    ratios = set()
+    for _ in range(300):
+        cv = verify._chamber_draw(ours, len(rays))
+        cw = verify._chamber_draw(ours, len(rays))
+        v = lemma_oracle.chamber_point(R, theirs)
+        w = lemma_oracle.chamber_point(R, theirs)
+        assert lincomb(_fractions(cv), rays) == v
+        assert lincomb(_fractions(cw), rays) == w
+        form = sum(a * sum(m * b for m, b in zip(row, cw)) for a, row in zip(cv, M))
+        ratios.add(Q(form) / R.ip_vec(v, w))
+    # the integer form is one positive multiple of the rational pairing
+    assert len(ratios) == 1 and ratios.pop() > 0
+
+
+def test_lemma_suites_leave_numpy_unloaded():
+    code = ("import sys\n"
+            "from weylgrowth.verify import run_lemma_check\n"
+            "for lemma in ('keylemma', 'posofweight', 'positivity',\n"
+            "              'rightangles', 'twowalls'):\n"
+            "    assert not run_lemma_check(lemma, 'b3', samples=200, seed=1)['failures']\n"
+            "print('numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
