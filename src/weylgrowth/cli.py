@@ -265,8 +265,9 @@ def cmd_orbit(args, cfg) -> int:
         # one entry per matrix dimension
         out["exponent"] = estimate_exponent(
             S, _parse_covector(args.mu, S.rank + 1))
-    if args.iota_check:
-        out["iota_symmetry"] = iota_symmetry_check(obj, depth=args.iota_check)
+    if args.iota_check is not None:
+        out["iota_symmetry"] = iota_symmetry_check(
+            obj, depth=args.iota_check, cap=cfg["orbit_cap"])
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(sample_to_csv(S))
@@ -332,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--mu", default=None,
                    help="weighting covector for an exponent estimate")
     q.add_argument("--iota-check", dest="iota_check", type=int, default=None,
-                   help="verify inverse-word symmetry to this depth")
+                   help="verify inverse-word symmetry to this depth (>= 1)")
     q.add_argument("-o", "--output", default=None, help="CSV output path")
     q.set_defaults(func=cmd_orbit)
     return p

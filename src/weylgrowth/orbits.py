@@ -117,11 +117,12 @@ def build_group_spec(obj) -> MatrixGroupSpec:
 
 
 def _letters(spec: MatrixGroupSpec):
-    """Generator matrices with inverses appended; letter i inverts to i+m."""
+    """(2m, n, n) stack of the generators with their inverses appended, and
+    m; letter i inverts to letter i+m."""
     mats = [np.array(g, dtype=float) for g in spec.generators]
     m = len(mats)
     mats.extend(np.linalg.inv(mats[i]) for i in range(m))
-    return mats, m
+    return np.array(mats).reshape(2 * m, spec.n, spec.n), m
 
 
 def _singular_values(P):
@@ -166,68 +167,86 @@ def _cartan_point(P) -> tuple | None:
 _BLOCK_WORDS = 8192
 
 
-def enumerate_orbit(spec, cap: int = ORBIT_CAP_DEFAULT) -> CartanSample:
-    """Projections of all reduced words up to the configured length.
+def _walk(stacks, m, depth, keep):
+    """Breadth-first walk over the reduced words of length 1 to depth.
 
-    Breadth first with no immediate backtracking, one word length at a
-    time: each level's words are formed by stacked products of the
-    previous level with the allowed letters and projected by a batched
-    SVD.  Within each word length, words whose projections round to the
-    same grid cell (side dedupe_tolerance) are merged, the first in
-    (parent, letter) order kept; float equality of group elements is
-    undecidable, and equal-length words with equal projections are
-    overwhelmingly the same element for the inputs this targets.
-    Degenerate products (overflow, vanishing singular values) are
-    dropped and counted.  Grows past cap -> CapExceeded.
+    Letter j of each (2m, n, n) stack in stacks is inverted by letter
+    (j + m) mod 2m and never follows it.  A level's products, one array
+    per stack, are its parents' times the allowed letters, formed in
+    blocks of at most _BLOCK_WORDS words in (parent, letter) order;
+    keep(length, products) returns the indices of a block's words to extend.
     """
-    spec = build_group_spec(spec)
-    n = spec.n
-    tol = spec.dedupe_tolerance
-    mats, m = _letters(spec)
-    letters = np.array(mats).reshape(2 * m, n, n)
+    n = stacks[0].shape[-1]
     # letters allowed after letter j: all but its inverse, in letter order
     after = np.array([[k for k in range(2 * m) if k != (j + m) % (2 * m)]
                       for j in range(2 * m)], dtype=np.intp)
-    points = [(tuple(0.0 for _ in range(n)), 0)]
-    dropped = 0
-    count = 1
     # frontier words and their last letters; table[last] lists the letters
     # each may take next, and the empty word (row 0 here) takes every letter
-    frontier, last = np.eye(n)[None], np.zeros(1, dtype=np.intp)
+    frontier = [np.eye(n)[None]] * len(stacks)
+    last = np.zeros(1, dtype=np.intp)
     table = np.arange(2 * m)[None]
-    for length in range(1, spec.max_word_length + 1):
-        seen = set()
-        level = []
-        kept_words, kept_last = [], []
+    for length in range(1, depth + 1):
         step = max(1, _BLOCK_WORDS // max(table.shape[1], 1))
-        for b in range(0, len(frontier), step):
+        words, lasts = [], []
+        for b in range(0, len(last), step):
             allowed = table[last[b:b + step]]
-            P = np.matmul(frontier[b:b + step, None],
-                          letters[allowed]).reshape(-1, n, n)
-            js = allowed.ravel()
-            pts, keep = _cartan_points(P)
-            idx = keep.nonzero()[0]
-            dropped += len(P) - len(idx)
-            kept = []
-            for i, mu in zip(idx.tolist(), pts.tolist()):
-                key = tuple(round(x / tol) for x in mu)
-                if key in seen:
-                    continue
-                seen.add(key)
-                count += 1
-                if count > cap:
-                    raise CapExceeded("orbit enumeration", count, cap)
-                level.append(tuple(mu))
-                kept.append(i)
-            kept_words.append(P[kept])
-            kept_last.append(js[kept])
-        # canonical order within each level, independent of visit order
-        points.extend((mu, length) for mu in sorted(level))
-        if not level:
-            break
-        frontier, last = np.concatenate(kept_words), np.concatenate(kept_last)
+            products = [np.matmul(F[b:b + step, None], S[allowed])
+                        .reshape(-1, n, n) for F, S in zip(frontier, stacks)]
+            idx = keep(length, products)
+            if length < depth:
+                words.append([P[idx] for P in products])
+                lasts.append(allowed.ravel()[idx])
+        if length == depth or not any(map(len, lasts)):
+            return
+        last = np.concatenate(lasts)
+        frontier = [np.concatenate(ws) for ws in zip(*words)]
         table = after
-    return CartanSample(points=tuple(points), rank=n - 1, dropped=dropped)
+
+
+def enumerate_orbit(spec, cap: int = ORBIT_CAP_DEFAULT) -> CartanSample:
+    """Projections of all reduced words up to the configured length.
+
+    Breadth first with no immediate backtracking, each block of words
+    projected by one batched SVD.  Within each word length, words whose
+    projections round to the same grid cell (side dedupe_tolerance) are
+    merged, the first in (parent, letter) order kept; float equality of
+    group elements is undecidable, and equal-length words with equal
+    projections are overwhelmingly the same element for the inputs this
+    targets.  Degenerate products (overflow, vanishing singular values)
+    are dropped and counted.  Grows past cap -> CapExceeded.
+    """
+    spec = build_group_spec(spec)
+    tol = spec.dedupe_tolerance
+    letters, m = _letters(spec)
+    # levels[k] holds the kept projections of length k; seen, their grid cells
+    levels = [[tuple(0.0 for _ in range(spec.n))]]
+    seen, dropped, count = set(), 0, 1
+
+    def keep(length, products):
+        nonlocal seen, dropped, count
+        if length == len(levels):
+            levels.append([])
+            seen = set()
+        pts, ok = _cartan_points(products[0])
+        dropped += len(ok) - len(pts)
+        kept = []
+        for i, mu in zip(ok.nonzero()[0].tolist(), pts.tolist()):
+            key = tuple(round(x / tol) for x in mu)
+            if key in seen:
+                continue
+            seen.add(key)
+            count += 1
+            if count > cap:
+                raise CapExceeded("orbit enumeration", count, cap)
+            levels[-1].append(tuple(mu))
+            kept.append(i)
+        return kept
+
+    _walk([letters], m, spec.max_word_length, keep)
+    # canonical order within each level, independent of visit order
+    points = tuple((mu, length) for length, level in enumerate(levels)
+                   for mu in sorted(level))
+    return CartanSample(points=points, rank=spec.n - 1, dropped=dropped)
 
 
 def validate_cartan_sample(S: CartanSample) -> bool:
@@ -352,70 +371,50 @@ def estimate_exponent(S: CartanSample, mu) -> dict:
     }
 
 
-def iota_symmetry_check(spec, depth: int | None = None) -> dict:
+def iota_symmetry_check(spec, depth: int | None = None,
+                        cap: int = ORBIT_CAP_DEFAULT) -> dict:
     """Projection of the inverse word against the reversed negation.
 
-    Walks every reduced word to the requested depth, computing the word
-    product and the inverse word's product independently, and compares
-    the inverse's projection with the coordinate reversal and negation
-    of the word's, within CHECK_TOL.  That reversal is the opposition
-    involution in the trace-zero model.  Capped at ORBIT_CAP_DEFAULT.
+    Walks every reduced word of length 1 to depth (default the spec's
+    max_word_length), with no dedupe, and compares the projection of the
+    word's inverse with the coordinate reversal and negation of the
+    word's own, within CHECK_TOL.  That reversal is the opposition
+    involution of sl(n, R) in the trace-zero model.  A pair counts when
+    neither product is degenerate.  More than cap words -> CapExceeded.
     """
     spec = build_group_spec(spec)
     depth = spec.max_word_length if depth is None else depth
-    mats, m = _letters(spec)
-    n = spec.n
-    pairs = 0
-    failures = 0
+    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 1:
+        raise InputError(f"involution check depth must be an integer >= 1, "
+                         f"got {depth!r}")
+    letters, m = _letters(spec)
+    # (w l)^-1 = l^-1 w^-1, so the transposed inverse of a word grows by
+    # right products with the transposed inverse letters
+    inverse_t = np.roll(letters, m, axis=0).transpose(0, 2, 1)
+    words = pairs = failures = 0
     worst = 0.0
-    stack = [(np.eye(n), np.eye(n), -1, 0)]
-    while stack:
-        P, Pinv, last, length = stack.pop()
-        if length > 0:
-            pts, keep = _cartan_points(np.stack((P, Pinv)))
-            if keep.all():
-                mu, nu = pts.tolist()
-                pairs += 1
-                expected = tuple(-x for x in reversed(mu))
-                dev = max(abs(a - b) for a, b in zip(nu, expected))
-                worst = max(worst, dev)
-                if dev > CHECK_TOL:
-                    failures += 1
-        if length == depth:
-            continue
-        for j, L in enumerate(mats):
-            if last >= 0 and j == (last + m) % (2 * m):
-                continue
-            inv_j = (j + m) % (2 * m)
-            # inverse of w*l is l^-1 * w^-1
-            stack.append((P @ L, mats[inv_j] @ Pinv, j, length + 1))
-            if len(stack) + pairs > ORBIT_CAP_DEFAULT:
-                raise CapExceeded("involution check", len(stack) + pairs,
-                                  ORBIT_CAP_DEFAULT)
+
+    def keep(length, products):
+        nonlocal words, pairs, failures, worst
+        P, Q = products
+        k = len(P)
+        words += k
+        if words > cap:
+            raise CapExceeded("involution check", cap + 1, cap)
+        # transposed back: the SVD of a transpose can differ in the last bits
+        pts, ok = _cartan_points(np.concatenate((P, Q.transpose(0, 2, 1))))
+        rows = np.full((2 * k, spec.n), np.nan)
+        rows[ok] = pts
+        both = ok[:k] & ok[k:]
+        dev = np.abs(rows[k:][both] + rows[:k][both, ::-1]).max(axis=1)
+        pairs += len(dev)
+        failures += int((dev > CHECK_TOL).sum())
+        worst = max(worst, float(dev.max(initial=0.0)))
+        return slice(None)  # every word, degenerate ones too
+
+    _walk([letters, inverse_t], m, depth, keep)
     return {"pairs": pairs, "failures": failures,
-            "max_deviation": float(worst), "tolerance": CHECK_TOL}
-
-
-def facet_contact_report(S: CartanSample, tol: float = 1e-6) -> dict:
-    """Which chamber walls the sample directions touch.
-
-    In the trace-zero model the walls are the consecutive coordinate
-    differences; a normalized direction with a vanishing difference
-    lies in that wall.  Reports the contact fraction per wall and
-    whether every direction sits there.
-    """
-    dirs = []
-    for p, _ in S.points:
-        r = _norm(p)
-        if r > 0:
-            dirs.append(tuple(x / r for x in p))
-    walls = []
-    for i in range(S.rank):
-        hits = sum(1 for d in dirs if abs(d[i] - d[i + 1]) <= tol)
-        frac = hits / len(dirs) if dirs else 0.0
-        walls.append({"wall": i, "contact_fraction": frac,
-                      "all_on_wall": bool(dirs) and hits == len(dirs)})
-    return {"directions": len(dirs), "walls": walls}
+            "max_deviation": worst, "tolerance": CHECK_TOL}
 
 
 def sample_to_csv(S: CartanSample) -> str:

@@ -57,6 +57,11 @@ from .growth import (
 from .critical import critical_data, theta_mu
 
 
+def _check_samples(samples) -> None:
+    if samples < 0:
+        raise InputError(f"samples must be nonnegative, got {samples}")
+
+
 def _simple_index(R: RootSystem, alpha) -> int:
     alpha = vec(alpha)
     for i, a in enumerate(R.simple_roots):
@@ -298,6 +303,7 @@ def check_rightangles(R: RootSystem, samples: int = 100, seed: int = 0) -> dict:
     form in its ray coefficients.  Needs irreducibility; a product
     system has orthogonal chamber directions.
     """
+    _check_samples(samples)
     if len(R.irreducible_components()) != 1:
         raise InputError("chamber positivity needs an irreducible system")
     rays = chamber_rays(R)
@@ -496,6 +502,7 @@ def check_psilinear(G, samples: int = 200, seed: int = 0,
     cone) is certified exactly and unconditionally.  consistency=True
     turns equality failures into CheckFailure.
     """
+    _check_samples(samples)
     R = G.root_system
     cd = critical_data(G)
     mu = vec(cd.mu_gamma_exact)
@@ -559,6 +566,7 @@ def reproduce_b3_remark(samples: int = 60, seed: int = 0) -> dict:
     weight; doubling makes the input integral, which is the
     normalization the closed form's denominators correspond to).
     """
+    _check_samples(samples)
     R = build_root_system("b3")
     ws = fundamental_weights(R)
     inputs = (ws[0], ws[1], vscale(2, ws[2]))
@@ -723,8 +731,7 @@ def run_lemma_check(lemma: str, preset, samples: int = 1000, seed: int = 0,
     "consistency" raises CheckFailure on any recorded failure; "report"
     just counts.  preset may be a name or a built system.
     """
-    if samples < 0:
-        raise InputError(f"samples must be nonnegative, got {samples}")
+    _check_samples(samples)
     R = preset if isinstance(preset, RootSystem) else build_root_system(preset)
     try:
         runner = _LEMMA_RUNNERS[lemma]

@@ -281,6 +281,39 @@ def test_orbit_cyclic_fixture(capsys, tmp_path):
     assert len(lines) == 14
 
 
+# 4 + 12 + 36 + 108 + 324 + 972 = 1456 reduced words up to length 6
+PAIR_SPEC = {"ambient": "sl3r",
+             "generators": [[[2.0, 1, 0], [1, 1, 0], [0, 0, 1]],
+                            [[1.0, 0, 0], [0, 2, 1], [0, 1, 1]]],
+             "max_word_length": 1}
+
+
+def test_orbit_iota_check_obeys_orbit_cap(capsys, tmp_path, monkeypatch):
+    spec = tmp_path / "pair.json"
+    spec.write_text(json.dumps(PAIR_SPEC))
+    cfgfile = tmp_path / "cfg.json"
+    monkeypatch.setenv("WEYLGROWTH_CONFIG", str(cfgfile))
+    cfgfile.write_text(json.dumps({"orbit_cap": 50}))
+    code, out, err = run(capsys, ["orbit", str(spec), "--iota-check", "6"])
+    assert code == 2 and out == ""
+    assert "involution check needs 51 elements, above the cap 50" in err
+    cfgfile.write_text(json.dumps({"orbit_cap": 1456}))
+    code, out, _ = run(capsys, ["orbit", str(spec), "--iota-check", "6"])
+    assert code == 0 and json.loads(out)["iota_symmetry"]["pairs"] == 1456
+    cfgfile.write_text(json.dumps({"orbit_cap": 1455}))
+    code, _, err = run(capsys, ["orbit", str(spec), "--iota-check", "6"])
+    assert code == 2 and "above the cap 1455" in err
+
+
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_orbit_iota_check_depth_below_one_exits_2(capsys, tmp_path, depth):
+    spec = tmp_path / "pair.json"
+    spec.write_text(json.dumps(PAIR_SPEC))
+    code, out, err = run(capsys, ["orbit", str(spec), "--iota-check", depth])
+    assert code == 2 and out == ""
+    assert "involution check depth must be an integer >= 1" in err
+
+
 def test_orbit_bad_json(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[[")

@@ -11,17 +11,19 @@ import scipy.optimize
 
 from weylgrowth import cli, orbits
 from weylgrowth.errors import CapExceeded, InputError
+from weylgrowth.rootsystem import build_root_system, iota_permutation
 from weylgrowth.orbits import (
     ESTIMATE_FLAG,
     ORBIT_CAP_DEFAULT,
     MatrixGroupSpec,
+    CHECK_TOL,
     _cartan_point,
+    _cartan_points,
     _letters,
     build_group_spec,
     empirical_limit_cone,
     enumerate_orbit,
     estimate_exponent,
-    facet_contact_report,
     iota_symmetry_check,
     sample_to_csv,
     validate_cartan_sample,
@@ -592,19 +594,109 @@ def test_iota_symmetry_free_pair():
     assert rep["failures"] == 0
 
 
-def test_facet_contact_flags():
-    # interior ray: both wall pairings stay positive
-    S = enumerate_orbit(cyclic3())
-    rep = facet_contact_report(S, tol=1e-9)
-    assert [w["contact_fraction"] for w in rep["walls"]] == [0.0, 0.0]
-    # wall hugger: powers land on one wall or the other by sign
-    wall = {"ambient": "sl3r",
-            "generators": [[[E, 0, 0], [0, E, 0], [0, 0, 1 / (E * E)]]],
-            "max_word_length": 6}
-    rep = facet_contact_report(enumerate_orbit(wall), tol=1e-9)
-    fracs = [w["contact_fraction"] for w in rep["walls"]]
-    assert fracs == [0.5, 0.5]
-    assert not any(w["all_on_wall"] for w in rep["walls"])
+def reference_iota_check(spec, depth):
+    """Per-word depth-first walk: the result dict of iota_symmetry_check.
+
+    The walk iota_symmetry_check replaced with the level walker; it forms
+    each word's product and its inverse's (letter^-1 times the parent's
+    inverse) one word at a time and projects the two in one stacked call.
+    """
+    spec = build_group_spec(spec)
+    mats, m = _letters(spec)
+    n = spec.n
+    pairs = 0
+    failures = 0
+    worst = 0.0
+    stack = [(np.eye(n), np.eye(n), -1, 0)]
+    while stack:
+        P, Pinv, last, length = stack.pop()
+        if length > 0:
+            pts, keep = _cartan_points(np.stack((P, Pinv)))
+            if keep.all():
+                mu, nu = pts.tolist()
+                pairs += 1
+                expected = tuple(-x for x in reversed(mu))
+                dev = max(abs(a - b) for a, b in zip(nu, expected))
+                worst = max(worst, dev)
+                if dev > CHECK_TOL:
+                    failures += 1
+        if length == depth:
+            continue
+        for j, L in enumerate(mats):
+            if last >= 0 and j == (last + m) % (2 * m):
+                continue
+            inv_j = (j + m) % (2 * m)
+            stack.append((P @ L, mats[inv_j] @ Pinv, j, length + 1))
+    return {"pairs": pairs, "failures": failures,
+            "max_deviation": float(worst), "tolerance": CHECK_TOL}
+
+
+# every orbit spec the benchmark records, read only; several have failures
+IOTA_SPECS = {f"{kind}-{i}": entry["spec"]
+              for kind, entries in POOL.items()
+              for i, entry in enumerate(entries)}
+IOTA_SPECS.update({f"cli-{i}": entry["spec"] for i, entry in enumerate(
+    json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "data"
+                / "cli.json").read_text())["orbit"])})
+IOTA_CASES = [(name, depth) for name in sorted(IOTA_SPECS) for depth in (5, 6)]
+# degenerate words, which count no pair but are extended, and no letters
+IOTA_SPECS.update({
+    "cyclic-dropped": cyclic3(depth=560),
+    "overflow-sl2": {"ambient": "sl2r",
+                     "generators": [[[1e200, 0], [0, 1e-200]]],
+                     "max_word_length": 3},
+    "no-generators": ORACLE_SPECS["no-generators"]})
+IOTA_CASES += [("cyclic-dropped", 560), ("overflow-sl2", 3),
+               ("no-generators", 3)]
+
+
+def _bits(rep):
+    return dict(rep, max_deviation=rep["max_deviation"].hex())
+
+
+@pytest.mark.parametrize("name,depth", IOTA_CASES)
+def test_iota_check_matches_dfs_oracle(name, depth):
+    rep = iota_symmetry_check(IOTA_SPECS[name], depth=depth)
+    assert _bits(rep) == _bits(reference_iota_check(IOTA_SPECS[name], depth))
+
+
+def test_iota_check_matches_oracle_across_blocks(monkeypatch):
+    # blocks of 7 words split every level, on a spec with failures
+    spec = IOTA_SPECS["sl5r-2"]
+    expected = reference_iota_check(spec, 5)
+    assert expected["failures"] > 0
+    monkeypatch.setattr(orbits, "_BLOCK_WORDS", 7)
+    assert _bits(iota_symmetry_check(spec, depth=5)) == _bits(expected)
+
+
+def test_iota_check_cap_boundary(monkeypatch):
+    # 4 + 12 + 36 = 52 reduced words; blocks of 7 end off the boundary
+    monkeypatch.setattr(orbits, "_BLOCK_WORDS", 7)
+    spec = free_pair_sl2()
+    assert iota_symmetry_check(spec, depth=3, cap=52)["pairs"] == 52
+    with pytest.raises(CapExceeded) as info:
+        iota_symmetry_check(spec, depth=3, cap=51)
+    assert (info.value.needed, info.value.cap) == (52, 51)
+    assert iota_symmetry_check(cyclic3(), depth=10, cap=20)["pairs"] == 20
+    with pytest.raises(CapExceeded):
+        iota_symmetry_check(cyclic3(), depth=10, cap=19)
+
+
+@pytest.mark.parametrize("depth", [0, -1, True, 2.0])
+def test_iota_check_depth_below_one_rejected(depth):
+    with pytest.raises(InputError, match="depth"):
+        iota_symmetry_check(cyclic3(), depth=depth)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_reversal_negation_is_sl_opposition_involution(n):
+    """iota_symmetry_check's involution, coordinate reversal and negation,
+    permutes the simple roots e_i - e_(i+1) as the sl(n, R) preset's does."""
+    roots = [tuple(float(k == i) - float(k == i + 1) for k in range(n))
+             for i in range(n - 1)]
+    image = {i: roots.index(tuple(-x for x in reversed(a)))
+             for i, a in enumerate(roots)}
+    assert image == dict(iota_permutation(build_root_system(f"sl({n},r)")))
 
 
 def test_csv_shape_and_determinism():

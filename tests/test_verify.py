@@ -192,6 +192,13 @@ def test_rightangles_needs_irreducible():
         check_rightangles(R)
 
 
+def test_rightangles_rejects_negative_samples():
+    R = build_root_system("b2")
+    with pytest.raises(InputError, match="nonnegative"):
+        check_rightangles(R, samples=-5)
+    assert check_rightangles(R, samples=0)["samples"] == 0
+
+
 def test_positivity_property_runs():
     for preset in ("a2", "b3", "so(2,5)"):
         report = run_lemma_check("positivity", preset, samples=300, seed=5)
@@ -470,6 +477,12 @@ def test_psilinear_adversarial_strict_inequality():
         check_psilinear(G, samples=200, seed=0, consistency=True)
 
 
+def test_psilinear_rejects_negative_samples():
+    with pytest.raises(InputError, match="nonnegative"):
+        check_psilinear(wall_model(), samples=-3)
+    assert check_psilinear(wall_model(), samples=0)["samples"] == 0
+
+
 # -- closed-form table ----------------------------------------------------------
 
 
@@ -482,6 +495,12 @@ def test_b3_remark_table():
     assert pinned[1]["theta"] == [1.0, 1.0, 1.0]
     assert pinned[2]["theta"] == [3.0, 1.5, 1.0]
     assert all(row["match"] for row in out["rows"])
+
+
+def test_b3_remark_rejects_negative_samples():
+    with pytest.raises(InputError, match="nonnegative"):
+        reproduce_b3_remark(samples=-4)
+    assert len(reproduce_b3_remark(samples=0)["rows"]) == 3
 
 
 # -- batch runner ----------------------------------------------------------------
