@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .errors import CheckFailure, InputError
-from .polyhedra import DD_RANK_CAP_DEFAULT, conic_member, extreme_rays
+from .polyhedra import conic_member, extreme_rays
 from .rational import (
     cleared_rows,
     dot,
@@ -60,10 +60,9 @@ def poly_cone(generators=None, halfspaces=None, rank=None, open_flag=False):
     if gens is None and hss is None:
         raise InputError("a cone needs generators or halfspaces")
     if rank is None:
-        sample = (gens or hss)[0] if (gens or hss) else None
-        if sample is None:
+        if not (gens or hss):
             raise InputError("cannot infer the ambient rank of an empty cone")
-        rank = len(sample)
+        rank = len((gens or hss)[0])
     for g in gens or ():
         if len(g) != rank:
             raise InputError("generator length does not match the rank")
@@ -76,11 +75,10 @@ def poly_cone(generators=None, halfspaces=None, rank=None, open_flag=False):
         bad = [g for g in gens if any(dot(h, g) < 0 for h in hss)]
         if bad:
             raise InputError(f"generator {bad[0]} violates a halfspace")
-        if rank <= DD_RANK_CAP_DEFAULT:
-            for r in extreme_rays(hss, rank):
-                if not conic_member(gens, r):
-                    raise InputError(
-                        f"halfspace ray {r} is not generated: representations disagree")
+        for r in extreme_rays(hss, rank):
+            if not conic_member(gens, r):
+                raise InputError(
+                    f"halfspace ray {r} is not generated: representations disagree")
     return PolyCone(rank=rank, generators=gens, halfspaces=hss, open_flag=open_flag)
 
 
@@ -119,13 +117,11 @@ def dominant_cone(R) -> PolyCone:
 
 
 def dual_cone(C: PolyCone) -> PolyCone:
-    """{mu : mu(v) >= 0 on C}; generators recovered for rank <= DD_RANK_CAP_DEFAULT."""
+    """{mu : mu(v) >= 0 on C}, with both representations."""
     if C.generators is None:
         raise InputError("dual_cone needs a generator representation")
-    if C.rank <= DD_RANK_CAP_DEFAULT:
-        gens = tuple(extreme_rays(C.generators, C.rank))
-        return PolyCone(rank=C.rank, generators=gens, halfspaces=C.generators)
-    return PolyCone(rank=C.rank, generators=None, halfspaces=C.generators)
+    gens = tuple(extreme_rays(C.generators, C.rank))
+    return PolyCone(rank=C.rank, generators=gens, halfspaces=C.generators)
 
 
 def avoids_facet(R, C: PolyCone, alpha) -> bool:

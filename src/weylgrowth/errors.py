@@ -6,12 +6,17 @@ class InputError(ValueError):
 
 
 class CapExceeded(InputError):
-    """An enumeration would exceed its configured cap."""
+    """An enumeration would exceed its cap.
 
-    def __init__(self, what: str, needed, cap):
+    unit names the capped quantity ("rank" reads "needs rank 9"); setting
+    names the config key that raises the cap, and only such caps say so.
+    """
+
+    def __init__(self, what: str, needed, cap, unit="elements", setting=None):
         self.what, self.needed, self.cap = what, needed, cap
-        super().__init__(f"{what} needs {needed} elements, above the cap {cap}; "
-                         f"raise the cap explicitly to proceed")
+        amount = f"rank {needed}" if unit == "rank" else f"{needed} {unit}"
+        fix = f"raise the config key {setting} to proceed" if setting else "this cap is fixed"
+        super().__init__(f"{what} needs {amount}, above the cap {cap}; {fix}")
 
 
 class ModelInvariantError(ValueError):

@@ -190,8 +190,10 @@ def _walk(stacks, m, depth, keep):
         words, lasts = [], []
         for b in range(0, len(last), step):
             allowed = table[last[b:b + step]]
-            products = [np.matmul(F[b:b + step, None], S[allowed])
-                        .reshape(-1, n, n) for F, S in zip(frontier, stacks)]
+            # overflowing products are degenerate words, dropped and counted
+            with np.errstate(over="ignore", invalid="ignore"):
+                products = [np.matmul(F[b:b + step, None], S[allowed])
+                            .reshape(-1, n, n) for F, S in zip(frontier, stacks)]
             idx = keep(length, products)
             if length < depth:
                 words.append([P[idx] for P in products])
@@ -237,7 +239,7 @@ def enumerate_orbit(spec, cap: int = ORBIT_CAP_DEFAULT) -> CartanSample:
             seen.add(key)
             count += 1
             if count > cap:
-                raise CapExceeded("orbit enumeration", count, cap)
+                raise CapExceeded("orbit enumeration", count, cap, setting="orbit_cap")
             levels[-1].append(tuple(mu))
             kept.append(i)
         return kept
@@ -400,7 +402,7 @@ def iota_symmetry_check(spec, depth: int | None = None,
         k = len(P)
         words += k
         if words > cap:
-            raise CapExceeded("involution check", cap + 1, cap)
+            raise CapExceeded("involution check", cap + 1, cap, setting="orbit_cap")
         # transposed back: the SVD of a transpose can differ in the last bits
         pts, ok = _cartan_points(np.concatenate((P, Q.transpose(0, 2, 1))))
         rows = np.full((2 * k, spec.n), np.nan)

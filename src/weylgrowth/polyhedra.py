@@ -1,16 +1,15 @@
 """Exact polyhedral computations over the rationals.
 
-Ray and vertex enumeration work by subset enumeration, which is
-exponential in the ambient dimension, so they have a rank cap; the
-geometry this package needs lives in rank <= 4. The projection
-min_norm_point is an exact dual active-set method and the feasibility
-test lp_feasible_eq a fraction-free Bland simplex; neither enumerates
-subsets, and the projection keeps a cap of its own two ranks higher. All
-vectors are Fraction tuples paired by the plain dot product.
+Rays of cones and vertices of polyhedra come from one fraction-free
+double-description routine (Fukuda & Prodon 1996); no row subset is
+enumerated. Its rank cap DD_RANK_CAP_DEFAULT = 8, the only polyhedral cap,
+admits e8: by the upper bound theorem each intermediate cone on m rows then
+has O(m^4) rays. The dual active-set projection min_norm_point has no cap of
+its own, as its inputs have passed this one. lp_feasible_eq is a
+fraction-free Bland simplex.
 """
 
-from itertools import combinations
-from math import gcd
+from operator import mul
 
 from .errors import CapExceeded, InternalError
 from .rational import (
@@ -20,109 +19,111 @@ from .rational import (
     dot,
     is_zero,
     primitive,
-    rank as mat_rank,
     solve,
     solve_unique,
-    unit,
     vec_add_scaled,
     vneg,
     vzero,
 )
 
-DD_RANK_CAP_DEFAULT = 4
+DD_RANK_CAP_DEFAULT = 8
 
 
 def _row_basis(rows):
-    """A maximal linearly independent subset of rows, in order."""
-    picked = []
-    for r in rows:
-        if mat_rank(picked + [list(r)]) == len(picked) + 1:
-            picked.append(list(r))
-    return [tuple(r) for r in picked]
+    """Indices of the greedy maximal independent subset of rows: the
+    lexicographically first basis among them."""
+    echelon = []
+    for i, r in enumerate(rows):
+        v = _cleared(r)[1]
+        for c, top, _ in echelon:
+            if v[c]:
+                v = _comb(top[c], v, v[c], top)
+        c = next((c for c, x in enumerate(v) if x), None)
+        if c is not None:
+            echelon.append((c, v, i))
+    return [i for _, _, i in echelon]
 
 
-def _pointed_rays(rows, n):
-    # every extreme ray has n-1 independent active constraints
-    if n == 1:
-        out = []
-        for cand in (unit(1, 0), vneg(unit(1, 0))):
-            if all(dot(r, cand) >= 0 for r in rows):
-                out.append(cand)
-        return out
-    rays = {}
-    for S in combinations(range(len(rows)), n - 1):
-        sub = [list(rows[i]) for i in S]
-        _, ker = solve(sub, vzero(len(S)))
-        if len(ker) != 1:
+def _comb(a, x, b, y):
+    """a x - b y, kept primitive. With a = y[c] > 0 and b = x[c] it is zero
+    in column c and a positive multiple of x - (x[c] / y[c]) y."""
+    return _primitive_ints([a * p - b * q for p, q in zip(x, y)])
+
+
+def _double_description(rows, n):
+    """(rays, lineality) of {x : r . x >= 0 for each integer row r}: primitive
+    rays, each with the bitmask of rows it makes tight, generate the cone
+    modulo the span of the lineality basis. A row nonzero on the lineality
+    space turns one lineality vector into a ray; any other row keeps the rays
+    on its nonnegative side and joins each adjacent pair across it, adjacent
+    meaning that no third ray is tight wherever both are."""
+    lineality = [[int(i == j) for j in range(n)] for i in range(n)]
+    rays = []
+    for k, h in enumerate(rows):
+        bit = 1 << k
+        hl = [sum(map(mul, h, x)) for x in lineality]
+        if any(hl):
+            p = next(i for i, v in enumerate(hl) if v)
+            top, s = lineality.pop(p), hl.pop(p)
+            if s < 0:
+                top, s = [-x for x in top], -s
+            lineality = [_comb(s, x, v, top) for x, v in zip(lineality, hl)]
+            rays = [(_comb(s, r, sum(map(mul, h, r)), top), m | bit) for r, m in rays]
+            rays.append((top, bit - 1))
             continue
-        u = primitive(ker[0])
-        for cand in (u, vneg(u)):
-            if all(dot(r, cand) >= 0 for r in rows):
-                rays[cand] = None
-    return list(rays)
+        vals = [(r, m, sum(map(mul, h, r))) for r, m in rays]
+        neg = [t for t in vals if t[2] < 0]
+        need = n - len(lineality) - 2
+        rays = [(r, m | bit if v == 0 else m) for r, m, v in vals if v >= 0]
+        for rp, mp, vp in vals:
+            for rq, mq, vq in neg if vp > 0 else ():
+                c = mp & mq
+                if c.bit_count() >= need and sum(m & c == c for _, m, _ in vals) == 2:
+                    rays.append((_comb(vp, rq, vq, rp), c | bit))
+    return rays, lineality
+
+
+def _by_first_basis(found, rows):
+    """The vectors of (vector, tight-row mask) pairs by the first basis of their
+    tight rows: the order in which a lexicographic subset enumeration meets them."""
+    def key(item):
+        tight = [i for i in range(len(rows)) if item[1] >> i & 1]
+        return [tight[j] for j in _row_basis([rows[i] for i in tight])]
+    return [v for v, _ in sorted(found, key=key)]
 
 
 def extreme_rays(halfspaces, n):
-    """Generators of the cone {x : h(x) >= 0 for every h in halfspaces}.
-
-    Returns primitive integer rays. A cone with lineality contributes a
-    +/- pair for each lineality direction plus the extreme rays of its
-    pointed part, so the returned list always generates the cone.
-    """
+    """Primitive integer generators of the cone {x : h(x) >= 0 for each h}: a
+    +/- pair for each vector of solve's kernel basis, then the extreme rays
+    of the cone within the row space, where it is pointed."""
     if n > DD_RANK_CAP_DEFAULT:
-        raise CapExceeded("ray enumeration rank", n, DD_RANK_CAP_DEFAULT)
-    rows = [h for h in halfspaces if not is_zero(h)]
-    if not rows:
-        out = []
-        for i in range(n):
-            out.extend((unit(n, i), vneg(unit(n, i))))
-        return out
-    _, lineality = solve([list(r) for r in rows], vzero(len(rows)))
-    if not lineality:
-        return _pointed_rays(rows, n)
-    # restrict to the row space, where the cone is pointed
-    basis = _row_basis(rows)
-    reduced = [tuple(dot(r, b) for b in basis) for r in rows]
+        raise CapExceeded("ray enumeration", n, DD_RANK_CAP_DEFAULT, unit="rank")
+    rows = list(halfspaces) or [vzero(n)]
     out = []
-    for d in lineality:
+    for d in solve(rows, vzero(len(rows)))[1]:
         p = primitive(d)
         out.extend((p, vneg(p)))
-    for y in _pointed_rays(reduced, len(basis)):
-        x = vzero(n)
-        for yi, b in zip(y, basis):
-            x = tuple(a + yi * c for a, c in zip(x, b))
-        out.append(primitive(x))
-    return out
+    # the lineality directions as rows: both signs cut the row space out
+    cut = [_cleared(r)[1] for r in rows + out]
+    found = [(tuple(map(Q, r)), m) for r, m in _double_description(cut, n)[0]]
+    return out + _by_first_basis(found, rows)
 
 
 def vertices_of_polyhedron(A, b):
-    """All vertices of {x : A x >= b}, exact.
-
-    The polyhedron may be unbounded; an empty result means it has no
-    vertex (it is empty, or it contains a line).
-    """
+    """All vertices of {x : A x >= b}, exact: the rays with t > 0 of the cone
+    {(x, t) : A x - b t >= 0, t >= 0}, scaled to t = 1. No vertex means that the
+    polyhedron is empty or contains a line; it may be unbounded."""
     if not A:
         return ()
     n = len(A[0])
     if n > DD_RANK_CAP_DEFAULT:
-        raise CapExceeded("vertex enumeration rank", n, DD_RANK_CAP_DEFAULT)
-    out = {}
-    for S in combinations(range(len(A)), n):
-        x = solve_unique([list(A[i]) for i in S], [b[i] for i in S])
-        if x is None:
-            continue
-        if all(dot(A[i], x) >= b[i] for i in range(len(A))):
-            out[x] = None
-    return tuple(out)
-
-
-def _eliminated(row, top, c):
-    """top[c] * row - row[c] * top over their gcd, kept primitive: zero in
-    column c, and for top[c] > 0 a positive multiple of the exact
-    difference row - (row[c] / top[c]) * top."""
-    g = gcd(top[c], row[c])
-    a, b = top[c] // g, row[c] // g
-    return _primitive_ints([a * x - b * y for x, y in zip(row, top)])
+        raise CapExceeded("vertex enumeration", n, DD_RANK_CAP_DEFAULT, unit="rank")
+    rows = [_cleared([*a, -bi])[1] for a, bi in zip(A, b)] + [[0] * n + [1]]
+    rays, lineality = _double_description(rows, n + 1)
+    if lineality:
+        return ()
+    found = [(tuple(Q(x, r[n]) for x in r[:n]), m) for r, m in rays if r[n] > 0]
+    return tuple(_by_first_basis(found, A))
 
 
 def lp_feasible_eq(A, b):
@@ -164,8 +165,8 @@ def lp_feasible_eq(A, b):
         top = T[piv]
         for i in range(m):
             if i != piv and T[i][enter]:
-                T[i] = _eliminated(T[i], top, enter)
-        red = _eliminated(red, top, enter)
+                T[i] = _comb(top[enter], T[i], T[i][enter], top)
+        red = _comb(top[enter], red, red[enter], top)
         basis[piv] = enter
     if red[ncols] != 0:
         return None
@@ -203,8 +204,6 @@ def min_norm_point(A, b, quad):
     """
     m = len(A)
     n = len(quad)
-    if n > DD_RANK_CAP_DEFAULT + 2:
-        raise CapExceeded("projection rank", n, DD_RANK_CAP_DEFAULT + 2)
     two_quad = [[2 * q for q in row] for row in quad]
     x = vzero(n)
     active, lam = [], []

@@ -1,15 +1,17 @@
 """Exact reference solvers, for test oracles only.
 
-The package decides feasibility with a fraction-free simplex and projects
-with a dual active-set method; tests keep the direct Fraction simplex and
-the subset-enumeration projection they replaced, and an LP over free-sign
-variables, to check the package against.
+The package decides feasibility with a fraction-free simplex, projects
+with a dual active-set method and enumerates rays and vertices by double
+description; tests keep the direct Fraction simplex, the subset-enumeration
+projection, ray and vertex enumerators they replaced (without a rank cap),
+and an LP over free-sign variables, to check the package against.
 """
 
 from fractions import Fraction as Q
 from itertools import combinations
 
-from weylgrowth.rational import dot, solve_unique
+from weylgrowth.rational import (dot, is_zero, primitive, rank, solve, solve_unique,
+                                 unit, vneg, vzero)
 
 
 def lp_feasible_eq_fraction(A, b):
@@ -101,3 +103,70 @@ def min_norm_point_enum(A, b, quad):
             if all(dot(A[i], x) >= b[i] for i in range(m)):
                 return tuple(x)
     return None
+
+
+def _row_basis_rows(rows):
+    """A maximal linearly independent subset of rows, in order."""
+    picked = []
+    for r in rows:
+        if rank(picked + [list(r)]) == len(picked) + 1:
+            picked.append(list(r))
+    return [tuple(r) for r in picked]
+
+
+def _pointed_rays_enum(rows, n):
+    # every extreme ray has n-1 independent active constraints
+    if n == 1:
+        return [c for c in (unit(1, 0), vneg(unit(1, 0)))
+                if all(dot(r, c) >= 0 for r in rows)]
+    rays = {}
+    for S in combinations(range(len(rows)), n - 1):
+        _, ker = solve([list(rows[i]) for i in S], vzero(len(S)))
+        if len(ker) != 1:
+            continue
+        u = primitive(ker[0])
+        for cand in (u, vneg(u)):
+            if all(dot(r, cand) >= 0 for r in rows):
+                rays[cand] = None
+    return list(rays)
+
+
+def extreme_rays_enum(halfspaces, n):
+    """Generators of {x : h(x) >= 0}: +/- lineality pairs, then the rays
+    of the pointed part in the row space, met in the lexicographic order
+    of the (d-1)-subsets of rows whose kernel is one line."""
+    rows = [h for h in halfspaces if not is_zero(h)]
+    if not rows:
+        out = []
+        for i in range(n):
+            out.extend((unit(n, i), vneg(unit(n, i))))
+        return out
+    _, lineality = solve([list(r) for r in rows], vzero(len(rows)))
+    if not lineality:
+        return _pointed_rays_enum(rows, n)
+    basis = _row_basis_rows(rows)
+    reduced = [tuple(dot(r, b) for b in basis) for r in rows]
+    out = []
+    for d in lineality:
+        p = primitive(d)
+        out.extend((p, vneg(p)))
+    for y in _pointed_rays_enum(reduced, len(basis)):
+        x = vzero(n)
+        for yi, b in zip(y, basis):
+            x = tuple(a + yi * c for a, c in zip(x, b))
+        out.append(primitive(x))
+    return out
+
+
+def vertices_enum(A, b):
+    """Vertices of {x : A x >= b}, one per n-subset of rows with a unique
+    feasible solution, in the lexicographic order of the subsets."""
+    if not A:
+        return ()
+    n = len(A[0])
+    out = {}
+    for S in combinations(range(len(A)), n):
+        x = solve_unique([list(A[i]) for i in S], [b[i] for i in S])
+        if x is not None and all(dot(A[i], x) >= b[i] for i in range(len(A))):
+            out[x] = None
+    return tuple(out)

@@ -10,10 +10,20 @@ import math
 import random
 import time
 
-from weylgrowth.cones import conv_hull_member, conv_hull_member_enumeration
+from weylgrowth.cones import (
+    avoids_facet,
+    closure,
+    conv_hull_member,
+    conv_hull_member_enumeration,
+)
 from weylgrowth.critical import critical_data, theta_mu
 from weylgrowth.figures import figure_geometry
-from weylgrowth.growth import delta_prime, random_growth_model, tent_check
+from weylgrowth.growth import (
+    delta_prime,
+    modified_limit_cone,
+    random_growth_model,
+    tent_check,
+)
 from weylgrowth.orbits import (
     build_group_spec,
     empirical_limit_cone,
@@ -25,13 +35,19 @@ from weylgrowth.rational import Q
 from weylgrowth.rootsystem import (
     build_root_system,
     fundamental_weights,
+    iota_permutation,
     rho,
     strongly_orthogonal_theta,
     vec,
     vscale,
     vsub,
 )
-from weylgrowth.verify import bound_wall_avoided, run_lemma_check
+from weylgrowth.verify import (
+    bound_wall_avoided,
+    deduce_onewall,
+    deduce_twowalls,
+    run_lemma_check,
+)
 
 LEMMAS = ("keylemma", "posofweight", "positivity", "rightangles", "twowalls")
 PRESETS = ("a2", "a3", "b2", "b3", "g2", "so(2,5)")
@@ -213,3 +229,31 @@ def test_criterion_9_figure_hull_claims():
     assert set(walls[2]["hull"]) == set(geom["gap_hull"])
     for v in walls[1]["hull"]:
         assert conv_hull_member(R, vec(v), vec(geom["gap"]))
+
+
+def test_criterion_10_exact_routes_and_replays_at_ranks_5_to_8():
+    # e6 is the first exceptional preset whose opposition involution is
+    # nontrivial, so its admissible wall pairs exclude the swapped ones
+    t0 = time.perf_counter()
+    onewall = twowalls = 0
+    for preset in ("d5", "e6", "e7", "e8"):
+        R = build_root_system(preset)
+        perm = iota_permutation(R)
+        rng = random.Random(10)
+        for _ in range(4):
+            G = random_growth_model(R, rng)
+            cd = critical_data(G)
+            assert cd.status == "positive" and cd.route_agreement == 0.0
+            assert delta_prime(G, cd.mu_gamma_exact).value == 1
+            Lp = closure(modified_limit_cone(G))
+            avoided = [i for i, a in enumerate(R.simple_roots) if avoids_facet(R, Lp, a)]
+            for i in avoided:
+                assert not deduce_onewall(G, R.simple_roots[i])["deduction_violated"]
+                onewall += 1
+                for j in avoided:
+                    if j > i and perm[i] != j:
+                        rep = deduce_twowalls(G, R.simple_roots[i], R.simple_roots[j])
+                        assert not any(r["deduction_violated"] for r in rep["reports"])
+                        twowalls += 1
+    assert onewall > 0 and twowalls > 0
+    assert time.perf_counter() - t0 < 30.0

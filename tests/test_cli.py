@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import random
+import warnings
 from unittest import mock
 
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from weylgrowth import cli, critical
 from weylgrowth.cones import cone_to_json, dominant_cone, poly_cone
-from weylgrowth.growth import build_growth_model, growth_model_to_json
+from weylgrowth.growth import build_growth_model, growth_model_to_json, random_growth_model
 from weylgrowth.rational import Q, vadd, vec
 from weylgrowth.rootsystem import build_root_system, rho
 
@@ -199,6 +201,30 @@ def test_growth_solve_consistency_runs_route_b_once(capsys, b2_models,
         assert len(calls) == 1
 
 
+def test_growth_solve_consistency_at_rank_6(capsys, tmp_path):
+    # e6, the first exceptional preset with a nontrivial opposition involution
+    model = tmp_path / "e6.json"
+    G = random_growth_model(build_root_system("e6"), random.Random(3))
+    model.write_text(json.dumps(growth_model_to_json(G)))
+    code, out, err = run(capsys, ["growth-solve", str(model), "--consistency"])
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    assert rep["consistency"] == "passed" and rep["route_gap"] == 0
+
+
+def test_growth_solve_above_the_rank_cap_exits_2(capsys, tmp_path):
+    R = build_root_system("a9")
+    model = tmp_path / "a9.json"
+    model.write_text(json.dumps({"root_system": "a9",
+                                 "cone": {"halfspaces": [list(map(str, a))
+                                                         for a in R.simple_roots]},
+                                 "pieces": [list(map(str, rho(R)))]}))
+    code, out, err = run(capsys, ["growth-solve", str(model)])
+    assert code == 2 and out == ""
+    assert "ray enumeration needs rank 9, above the cap 8; this cap is fixed" in err
+    assert "orbit_cap" not in err
+
+
 def test_internal_error_maps_to_exit_4(capsys, b2_models, monkeypatch):
     monkeypatch.setattr(critical, "min_norm_point", lambda *args: None)
     code, _, err = run(capsys, ["growth-solve", b2_models["thin"]])
@@ -312,6 +338,22 @@ def test_orbit_iota_check_depth_below_one_exits_2(capsys, tmp_path, depth):
     code, out, err = run(capsys, ["orbit", str(spec), "--iota-check", depth])
     assert code == 2 and out == ""
     assert "involution check depth must be an integer >= 1" in err
+
+
+def test_orbit_overflow_keeps_stderr_empty(capsys, tmp_path):
+    # products of diag(1e200, 1e-200) overflow from word length 2 on
+    spec = tmp_path / "overflow.json"
+    spec.write_text(json.dumps({"ambient": "sl2r",
+                                "generators": [[[1e200, 0], [0, 1e-200]]],
+                                "max_word_length": 3}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, ["orbit", str(spec), "--iota-check", "3"])
+    assert code == 0 and err == "" and not caught
+    assert json.loads(out) == {
+        "dropped": 1, "max_word_length": 1, "points": 2, "rank": 1,
+        "iota_symmetry": {"failures": 0, "max_deviation": 0.0, "pairs": 2,
+                          "tolerance": 1e-06}}
 
 
 def test_orbit_bad_json(capsys, tmp_path):

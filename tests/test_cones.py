@@ -82,6 +82,14 @@ def test_poly_cone_validation():
     assert C.rank == 2
 
 
+def test_poly_cone_rejects_disagreeing_representations_at_rank_6():
+    R = build_root_system("e6")
+    ray = chamber_rays(R)[0]
+    with pytest.raises(InputError, match="representations disagree"):
+        poly_cone(generators=[ray], halfspaces=R.simple_roots, rank=6)
+    assert set(dual_cone(dominant_cone(R)).generators) == set(R.simple_roots)
+
+
 def test_cone_contains_and_open_flag():
     C = poly_cone(halfspaces=[[1, -1], [0, 1]], rank=2)
     assert cone_contains(C, [2, 1])

@@ -6,9 +6,15 @@ from pathlib import Path
 import pytest
 from scipy.optimize import minimize
 
-from weylgrowth import critical, polyhedra
+from weylgrowth import cones, critical, growth, polyhedra
 from weylgrowth.errors import CapExceeded, InternalError
-from weylgrowth.growth import growth_model_from_json
+from weylgrowth.growth import (
+    growth_model_from_json,
+    growth_polytope_vertices,
+    random_growth_model,
+    recession_rays,
+    super_level_rows,
+)
 from weylgrowth.polyhedra import (
     conic_member,
     extreme_rays,
@@ -19,7 +25,15 @@ from weylgrowth.polyhedra import (
 from weylgrowth.rational import dot, matvec, to_float, vec
 from weylgrowth.rootsystem import build_root_system
 
-from lp_oracle import lp_feasible_eq_fraction, lp_feasible_ineq, min_norm_point_enum
+from lp_oracle import (
+    extreme_rays_enum,
+    lp_feasible_eq_fraction,
+    lp_feasible_ineq,
+    min_norm_point_enum,
+    vertices_enum,
+)
+
+DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
 
 def test_extreme_rays_chamber_b2():
@@ -47,7 +61,7 @@ def test_extreme_rays_full_space_and_origin():
 
 def test_extreme_rays_cap():
     with pytest.raises(CapExceeded):
-        extreme_rays([vec([1, 0, 0, 0, 0])], 5)
+        extreme_rays([vec([1, 0, 0, 0, 0, 0, 0, 0, 0])], 9)
 
 
 def test_vertices_square():
@@ -248,3 +262,71 @@ def test_min_norm_point_singular_kkt_is_internal_error(monkeypatch):
     quad = [[Q(1), Q(0)], [Q(0), Q(1)]]
     with pytest.raises(InternalError, match="0 active rows"):
         min_norm_point([vec([1, 1])], [Q(1)], quad)
+
+
+def test_enumerators_match_subset_oracle_on_seeded_systems():
+    # ordered lists, since delta_prime witnesses and the nonpositive
+    # branch's first ray depend on the order
+    rng = random.Random(14)
+    seen = set()
+    for i in range(300):
+        n = rng.randint(1, 5)
+        A = _degenerate_rows(rng, n, rng.randint(1, 6))
+        if i % 4 == 0:  # rows in a hyperplane: the cone has lineality
+            A = [vec([*a[:-1], 0]) for a in A]
+        b = [Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in A]
+        rays = extreme_rays(A, n)
+        assert rays == extreme_rays_enum(A, n), (A,)
+        verts = vertices_of_polyhedron(A, b)
+        assert verts == vertices_enum(A, b), (A, b)
+        if any(vec([-x for x in r]) in rays for r in rays):
+            seen.add("lineality")
+        else:  # pointed: no vertex means an empty polyhedron
+            seen.add("unbounded" if verts and rays else "bounded" if verts else "empty")
+    assert seen == {"lineality", "empty", "bounded", "unbounded"}
+
+
+def _benchmark_models():
+    solve = json.loads((DATA / "solve.json").read_text())
+    cli = json.loads((DATA / "cli.json").read_text())
+    return ([e["model"] for stratum in solve["strata"].values() for e in stratum]
+            + [e["model"] for e in solve["panel"]]
+            + [e["model"] for e in cli["growth-solve"]])
+
+
+def test_enumerators_match_oracle_on_benchmark_models():
+    models = _benchmark_models()
+    for obj in models:
+        G = growth_model_from_json(obj)
+        n = G.root_system.rank
+        for level in (1, -1):
+            A, b = super_level_rows(G, True, level)
+            assert vertices_of_polyhedron(A, b) == vertices_enum(A, b), (obj, level)
+        rows, _ = super_level_rows(G, True, 0)
+        assert extreme_rays(rows, n) == extreme_rays_enum(rows, n), obj
+    assert len(models) == 213 + 12
+
+
+@pytest.mark.parametrize("name", ["a5", "b5", "d5", "e6"])
+def test_enumerators_match_oracle_on_seeded_models(name, monkeypatch):
+    calls = []
+
+    def rays_checked(hs, n):
+        out = extreme_rays(hs, n)
+        assert out == extreme_rays_enum(hs, n)
+        calls.append(n)
+        return out
+
+    def vertices_checked(A, b):
+        out = vertices_of_polyhedron(A, b)
+        assert out == vertices_enum(A, b)
+        calls.append(len(A[0]))
+        return out
+    for mod in (cones, growth):
+        monkeypatch.setattr(mod, "extreme_rays", rays_checked)
+    monkeypatch.setattr(growth, "vertices_of_polyhedron", vertices_checked)
+    G = random_growth_model(build_root_system(name), random.Random(name))
+    critical.critical_data(G)
+    growth_polytope_vertices(G, True, -1)
+    recession_rays(G, False)
+    assert len(calls) >= 4 and set(calls) == {G.root_system.rank}
