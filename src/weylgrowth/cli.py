@@ -40,19 +40,33 @@ LEMMA_ORDER = ("keylemma", "posofweight", "positivity", "rightangles",
                "twowalls")
 
 
+def _read_json(path, what):
+    """The JSON document at path; what names it in the InputError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as ex:
+        raise InputError(f"cannot read {what}: {ex}") from ex
+    except ValueError as ex:  # malformed JSON, or bytes that are not UTF-8
+        raise InputError(f"{what} is not valid JSON: {ex}") from ex
+
+
+def _write_text(path, text, what) -> None:
+    """Write text to path; what names it in the InputError."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as ex:
+        raise InputError(f"cannot write {what}: {ex}") from ex
+
+
 def load_config(environ=None) -> dict:
     environ = os.environ if environ is None else environ
     cfg = dict(DEFAULTS)
     path = environ.get(CONFIG_ENV)
     if not path:
         return cfg
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as ex:
-        raise InputError(f"cannot read config file {path}: {ex}") from ex
-    except json.JSONDecodeError as ex:
-        raise InputError(f"config file {path} is not valid JSON: {ex}") from ex
+    obj = _read_json(path, f"config file {path}")
     if not isinstance(obj, dict):
         raise InputError("config file must hold a JSON object")
     for key, val in obj.items():
@@ -116,13 +130,7 @@ def _parse_covector(text: str, rank: int):
 
 
 def cmd_growth_solve(args, cfg) -> int:
-    try:
-        with open(args.model) as fh:
-            obj = json.load(fh)
-    except OSError as ex:
-        raise InputError(f"cannot read model file: {ex}") from ex
-    except json.JSONDecodeError as ex:
-        raise InputError(f"model file is not valid JSON: {ex}") from ex
+    obj = _read_json(args.model, "model file")
     G = growth_model_from_json(obj)
     rep = critical_report(G)
     rank = G.root_system.rank
@@ -179,8 +187,7 @@ def cmd_figure(args, cfg) -> int:
         name = f"so(2,{args.n})"
     geom = figure_geometry(name)
     svg = figure_svg(geom)
-    with open(args.output, "w") as fh:
-        fh.write(svg)
+    _write_text(args.output, svg, "figure file")
     print(f"wrote {args.output} ({len(svg)} bytes, "
           f"{len(geom['gap_hull'])} gap hull vertices)")
     return 0
@@ -247,13 +254,7 @@ def cmd_check(args, cfg) -> int:
 
 
 def cmd_orbit(args, cfg) -> int:
-    try:
-        with open(args.gens) as fh:
-            obj = json.load(fh)
-    except OSError as ex:
-        raise InputError(f"cannot read generator file: {ex}") from ex
-    except json.JSONDecodeError as ex:
-        raise InputError(f"generator file is not valid JSON: {ex}") from ex
+    obj = _read_json(args.gens, "generator file")
     S = enumerate_orbit(obj, cap=cfg["orbit_cap"])
     out = {"points": len(S.points), "dropped": S.dropped, "rank": S.rank,
            "max_word_length": max((wl for _, wl in S.points), default=0)}
@@ -269,8 +270,7 @@ def cmd_orbit(args, cfg) -> int:
         out["iota_symmetry"] = iota_symmetry_check(
             obj, depth=args.iota_check, cap=cfg["orbit_cap"])
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(sample_to_csv(S))
+        _write_text(args.output, sample_to_csv(S), "CSV file")
         out["csv"] = args.output
     _emit(out)
     return 0

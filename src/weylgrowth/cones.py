@@ -10,19 +10,15 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-from .errors import CheckFailure, InputError
+from .errors import InputError
 from .polyhedra import conic_member, extreme_rays
 from .rational import (
     cleared_rows,
     dot,
-    identity,
     inverse,
     is_zero,
-    mat,
     matvec,
     primitive,
-    rank as mat_rank,
-    solve,
     transpose,
     vec,
 )
@@ -82,20 +78,6 @@ def poly_cone(generators=None, halfspaces=None, rank=None, open_flag=False):
     return PolyCone(rank=rank, generators=gens, halfspaces=hss, open_flag=open_flag)
 
 
-def cone_contains(C: PolyCone, v, strict=None) -> bool:
-    """Exact membership; strict defaults to the cone's open flag."""
-    v = vec(v)
-    if strict is None:
-        strict = C.open_flag
-    if C.halfspaces is not None:
-        if strict:
-            return all(dot(h, v) > 0 for h in C.halfspaces)
-        return all(dot(h, v) >= 0 for h in C.halfspaces)
-    if strict:
-        raise InputError("strict membership needs a halfspace representation")
-    return conic_member(C.generators, v)
-
-
 def closure(C: PolyCone) -> PolyCone:
     return PolyCone(rank=C.rank, generators=C.generators,
                     halfspaces=C.halfspaces, open_flag=False)
@@ -116,14 +98,6 @@ def dominant_cone(R) -> PolyCone:
                      rank=R.rank)
 
 
-def dual_cone(C: PolyCone) -> PolyCone:
-    """{mu : mu(v) >= 0 on C}, with both representations."""
-    if C.generators is None:
-        raise InputError("dual_cone needs a generator representation")
-    gens = tuple(extreme_rays(C.generators, C.rank))
-    return PolyCone(rank=C.rank, generators=gens, halfspaces=C.generators)
-
-
 def avoids_facet(R, C: PolyCone, alpha) -> bool:
     """Does C meet the chamber wall ker(alpha) only at the origin?
 
@@ -137,16 +111,6 @@ def avoids_facet(R, C: PolyCone, alpha) -> bool:
         if any(dot(b, g) < 0 for b in R.simple_roots):
             raise InputError(f"cone generator {g} lies outside the chamber")
     return all(dot(alpha, g) > 0 for g in C.generators)
-
-
-def interior_dual_member(C: PolyCone, mu) -> bool:
-    """Is mu strictly positive on C minus the origin?"""
-    mu = vec(mu)
-    if C.generators is None:
-        raise InputError("interior_dual_member needs a generator representation")
-    if is_zero(mu):
-        return False
-    return all(dot(mu, g) > 0 for g in C.generators)
 
 
 def conv_hull_member(R, lam, mu) -> bool:
@@ -193,41 +157,6 @@ def conv_hull_member_enumeration(R, lam, mu) -> bool:
     # an integer exceeds a rational bound iff it exceeds the bound's floor
     bounds = [math.floor(dot(mu, v) * L * D) for v in chamber_rays(R)]
     return all(sum(map(mul, lam_ints, row)) <= bounds[j] for j, row in rows)
-
-
-def lemma_positivity(vs, u, gram=None):
-    """Expansion coefficients of u over vs, asserted nonnegative.
-
-    Hypotheses (checked exactly, violations are precondition failures):
-    vs linearly independent with pairwise nonpositive inner products,
-    u in their span with nonnegative inner product against every v_i.
-    Under them every coefficient is >= 0; a negative one would be a
-    genuine lemma failure and raises CheckFailure.
-    """
-    vs = [vec(v) for v in vs]
-    u = vec(u)
-    n = len(u)
-    G = mat(gram) if gram is not None else identity(n)
-    if mat_rank(vs) != len(vs):
-        raise InputError("precondition failure: vectors are not independent")
-    gv = [matvec(G, v) for v in vs]
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            if dot(vs[i], gv[j]) > 0:
-                raise InputError(
-                    f"precondition failure: vectors {i},{j} have positive inner product")
-    for i, v in enumerate(vs):
-        if dot(u, gv[i]) < 0:
-            raise InputError(
-                f"precondition failure: u pairs negatively with vector {i}")
-    cols = [[v[i] for v in vs] for i in range(n)]
-    particular, _ = solve(cols, list(u))
-    if particular is None:
-        raise InputError("precondition failure: u is outside the span")
-    coeff = tuple(particular[: len(vs)])
-    if any(c < 0 for c in coeff):
-        raise CheckFailure(f"positivity lemma failed: coefficients {coeff}")
-    return coeff
 
 
 def cone_to_json(C: PolyCone) -> dict:

@@ -16,11 +16,9 @@ from .cones import (
     PolyCone,
     chamber_rays,
     cone_from_json,
-    cone_to_json,
     dominant_cone,
-    poly_cone,
 )
-from .errors import CheckFailure, InputError, InternalError, ModelInvariantError
+from .errors import InputError, InternalError, ModelInvariantError
 from .polyhedra import (
     extreme_rays,
     lp_feasible_eq,
@@ -48,9 +46,7 @@ from .rootsystem import (
     memo,
     opposition_involution,
     rho,
-    root_system_to_json,
     vec_from_json,
-    vec_to_json,
     vector_action,
 )
 
@@ -75,15 +71,20 @@ def iota_vector_matrix(R):
 
 
 def _with_both_reps(C: PolyCone, rank) -> PolyCone:
+    """C with the representation it lacks derived by ray enumeration,
+    which is exact, so the pair needs no cross-check."""
+    if C.rank != rank:
+        raise InputError(f"cone rank {C.rank} differs from the rank {rank} "
+                         "of the root system")
     if C.generators is not None and C.halfspaces is not None:
         return C
     if C.generators is not None:
         hss = tuple(extreme_rays(C.generators, rank))
-        return poly_cone(generators=C.generators, halfspaces=hss, rank=rank,
-                         open_flag=C.open_flag)
+        return PolyCone(rank=rank, generators=C.generators, halfspaces=hss,
+                        open_flag=C.open_flag)
     gens = tuple(extreme_rays(C.halfspaces, rank))
-    return poly_cone(generators=gens, halfspaces=C.halfspaces, rank=rank,
-                     open_flag=C.open_flag)
+    return PolyCone(rank=rank, generators=gens, halfspaces=C.halfspaces,
+                    open_flag=C.open_flag)
 
 
 def build_growth_model(R, cone, pieces) -> GrowthIndicator:
@@ -254,30 +255,6 @@ def delta_prime(G: GrowthIndicator, mu, modified=True) -> DeltaPrime:
                       witness=vscale(1 / m, w))
 
 
-def exponent_sandwich(G: GrowthIndicator, mu):
-    """(delta' - inf rho, delta' + sup rho) over the slice mu = 1.
-
-    Requires mu strictly positive on the cone minus the origin; the
-    unmodified exponent is recomputed and must lie inside; CheckFailure
-    otherwise.
-    """
-    mu = vec(mu)
-    if not G.cone.generators:
-        raise InputError("sandwich needs a nonempty cone")
-    if not all(dot(mu, g) > 0 for g in G.cone.generators):
-        raise InputError("sandwich needs mu positive on the cone")
-    dp = delta_prime(G, mu).value
-    # the slice is the convex hull of the points g / mu(g)
-    r = rho(G.root_system)
-    vals = [dot(r, g) / dot(mu, g) for g in G.cone.generators]
-    lower, upper = dp - min(vals), dp + max(vals)
-    d = delta_prime(G, mu, modified=False).value
-    if not lower <= d <= upper:
-        raise CheckFailure(f"unmodified exponent {d} lies outside the "
-                           f"sandwich [{lower}, {upper}]")
-    return lower, upper
-
-
 def tent_check(G: GrowthIndicator, mu_samples, slack=Q(0), seed=0) -> dict:
     """Verify psi'(v) <= delta'_mu mu(v) + slack across the cone.
 
@@ -355,20 +332,13 @@ def random_growth_model(R, rng) -> GrowthIndicator:
                 g = lincomb([Q(rng.randint(1, 4)) for _ in rays], rays)
                 gens.append(primitive(g))
                 gens.append(primitive(matvec(iota_v, g)))
-            gens = list(dict.fromkeys(gens))
-            hss = tuple(extreme_rays(gens, R.rank))
-            cone = poly_cone(generators=gens, halfspaces=hss, rank=R.rank)
+            # build_growth_model derives the halfspaces
+            cone = PolyCone(rank=R.rank, generators=tuple(dict.fromkeys(gens)))
         rng.randint(0, 10**6)  # a retired draw, kept so seeded models stay pinned
         G = build_growth_model(R, cone, pieces)
         if modified_cone_nonempty(G):
             return G
     raise InternalError("failed to draw a model with positive top exponent")
-
-
-def growth_model_to_json(G: GrowthIndicator) -> dict:
-    return {"root_system": root_system_to_json(G.root_system),
-            "cone": cone_to_json(G.cone),
-            "pieces": [vec_to_json(p) for p in G.pieces]}
 
 
 def growth_model_from_json(obj: dict) -> GrowthIndicator:
@@ -380,9 +350,6 @@ def growth_model_from_json(obj: dict) -> GrowthIndicator:
         raise InputError(f"growth model lacks {', '.join(missing)}")
     R = build_root_system(obj["root_system"])
     cone = cone_from_json(obj["cone"])
-    if cone.rank != R.rank:
-        raise InputError(f"cone rank {cone.rank} differs from the rank {R.rank} "
-                         "of the root system")
     if not isinstance(obj["pieces"], list):
         raise InputError("growth model pieces must be a list")
     pieces = [vec_from_json(p, R.rank, f"piece {p!r}") for p in obj["pieces"]]

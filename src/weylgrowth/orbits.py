@@ -270,10 +270,10 @@ def _norm(p) -> float:
 def empirical_limit_cone(S: CartanSample, radius_cut: float):
     """Cone spanned by the directions of the far sample points.
 
-    Keeps the points with norm at least radius_cut and normalizes them.
-    Rank two returns the two angular extremes of the fan (one ray when
-    everything is collinear); other ranks return the deduped directions
-    filtered to convex position.
+    Keeps the points with norm at least radius_cut, normalizes them, and
+    returns the extreme directions among them in sample order: those whose
+    points on the slice <rho, d> = 1 are vertices of the slice points'
+    convex hull (see _extreme_directions).
     """
     dirs = []
     for p, _ in S.points:
@@ -283,53 +283,39 @@ def empirical_limit_cone(S: CartanSample, radius_cut: float):
     if not dirs:
         raise InputError("no sample points beyond the radius cut; "
                          "enumerate with a larger max_word_length")
-    n = S.rank + 1
-    if S.rank == 2:
-        u1 = (1 / math.sqrt(2), 0.0, -1 / math.sqrt(2))
-        u2 = (1 / math.sqrt(6), -2 / math.sqrt(6), 1 / math.sqrt(6))
-        angs = [math.atan2(sum(a * b for a, b in zip(d, u2)),
-                           sum(a * b for a, b in zip(d, u1))) for d in dirs]
-        lo = min(range(len(angs)), key=angs.__getitem__)
-        hi = max(range(len(angs)), key=angs.__getitem__)
-        if angs[hi] - angs[lo] <= 1e-12:
-            return poly_cone(generators=(dirs[hi],), rank=n)
-        return poly_cone(generators=(dirs[lo], dirs[hi]), rank=n)
-    uniq = {}
-    for d in dirs:
-        uniq[tuple(round(x, 6) for x in d)] = d
-    kept = _convex_position(list(uniq.values()))
-    return poly_cone(generators=tuple(kept), rank=n)
+    kept = _extreme_directions(np.array(dirs))
+    return poly_cone(generators=tuple(dirs[i] for i in kept), rank=S.rank + 1)
 
 
-# residual norm up to which a direction counts as a nonnegative combination
-# of the others: HiGHS's default primal feasibility tolerance, so that the
-# test agrees with a feasibility linear program solved by HiGHS
-_CONE_MEMBER_TOL = 1e-7
+# an axis of the slice points' affine hull counts when some point lies
+# farther than this from their mean along it; less spread is rounding
+_FLAT_TOL = 1e-7
 
 
-def _convex_position(dirs):
-    """Drop directions that are nonnegative combinations of the others.
+def _extreme_directions(D):
+    """Indices, increasing, of the rows of D that generate the cone of all.
 
-    Each direction in turn, against the directions still kept, is fitted
-    by nonnegative least squares (the Lawson-Hanson active-set method)
-    and dropped when the residual norm is at most _CONE_MEMBER_TOL.  A fit
-    that hits its iteration cap keeps the direction.
+    Each row d is dominant and nonzero, so <rho, d> > 0 and the cone's
+    extreme rays are the rows whose slice points d / <rho, d> are vertices
+    of the slice points' convex hull.  The slice points are centred and
+    rotated onto their principal axes by one SVD, and only the axes along
+    which some point lies more than _FLAT_TOL from the mean are kept.
+    With no axis the first row is returned, with one the first minimum and
+    the first maximum along it, otherwise the vertices Qhull finds.
     """
-    from scipy.optimize import nnls
+    n = D.shape[1]
+    rho = (n - 1) / 2 - np.arange(n)
+    Y = D / (D @ rho)[:, None]
+    Y -= Y.mean(axis=0)
+    X = Y @ np.linalg.svd(Y, full_matrices=False)[2].T
+    X = X[:, np.abs(X).max(axis=0) > _FLAT_TOL]
+    if X.shape[1] == 0:
+        return [0]
+    if X.shape[1] == 1:
+        return sorted({int(X[:, 0].argmin()), int(X[:, 0].argmax())})
+    from scipy.spatial import ConvexHull
 
-    kept = list(dirs)
-    i = 0
-    while i < len(kept) and len(kept) > 1:
-        A = np.array(kept[:i] + kept[i + 1:], dtype=float).T
-        try:
-            _, residual = nnls(A, np.array(kept[i]))
-        except RuntimeError:
-            residual = math.inf
-        if residual <= _CONE_MEMBER_TOL:
-            kept.pop(i)
-        else:
-            i += 1
-    return kept
+    return sorted(ConvexHull(X).vertices.tolist())
 
 
 def estimate_exponent(S: CartanSample, mu) -> dict:

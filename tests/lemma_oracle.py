@@ -11,11 +11,12 @@ import random
 from fractions import Fraction as Q
 
 from weylgrowth import verify
-from weylgrowth.cones import chamber_rays, lemma_positivity
+from weylgrowth.cones import chamber_rays
 from weylgrowth.errors import CheckFailure, InputError
 from weylgrowth.growth import dominant_iota_classes
-from weylgrowth.rational import (dot, lincomb, nonneg_multiple_of, solve_unique,
-                                 vec, vscale)
+from weylgrowth.rational import (dot, identity, lincomb, mat, matvec,
+                                 nonneg_multiple_of, rank as mat_rank, solve,
+                                 solve_unique, vec, vscale)
 from weylgrowth.rootsystem import gram_images, iota_permutation
 
 
@@ -112,6 +113,41 @@ def chamber_point(R, rng):
         v = lincomb([Q(rng.randint(0, 8), rng.randint(1, 5)) for _ in rays], rays)
         if any(v):
             return v
+
+
+def lemma_positivity(vs, u, gram=None):
+    """Expansion coefficients of u over vs, asserted nonnegative.
+
+    Hypotheses (checked exactly, violations are precondition failures):
+    vs linearly independent with pairwise nonpositive inner products,
+    u in their span with nonnegative inner product against every v_i.
+    Under them every coefficient is >= 0; a negative one would be a
+    genuine lemma failure and raises CheckFailure.
+    """
+    vs = [vec(v) for v in vs]
+    u = vec(u)
+    n = len(u)
+    G = mat(gram) if gram is not None else identity(n)
+    if mat_rank(vs) != len(vs):
+        raise InputError("precondition failure: vectors are not independent")
+    gv = [matvec(G, v) for v in vs]
+    for i in range(len(vs)):
+        for j in range(i + 1, len(vs)):
+            if dot(vs[i], gv[j]) > 0:
+                raise InputError(
+                    f"precondition failure: vectors {i},{j} have positive inner product")
+    for i, v in enumerate(vs):
+        if dot(u, gv[i]) < 0:
+            raise InputError(
+                f"precondition failure: u pairs negatively with vector {i}")
+    cols = [[v[i] for v in vs] for i in range(n)]
+    particular, _ = solve(cols, list(u))
+    if particular is None:
+        raise InputError("precondition failure: u is outside the span")
+    coeff = tuple(particular[: len(vs)])
+    if any(c < 0 for c in coeff):
+        raise CheckFailure(f"positivity lemma failed: coefficients {coeff}")
+    return coeff
 
 
 def positivity_draws(R, samples, seed):

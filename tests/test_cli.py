@@ -14,9 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from weylgrowth import cli, critical
 from weylgrowth.cones import cone_to_json, dominant_cone, poly_cone
-from weylgrowth.growth import build_growth_model, growth_model_to_json, random_growth_model
+from weylgrowth.growth import build_growth_model, random_growth_model
 from weylgrowth.rational import Q, vadd, vec
 from weylgrowth.rootsystem import build_root_system, rho
+
+from model_json import growth_model_to_json
 
 
 def run(capsys, argv):
@@ -361,6 +363,30 @@ def test_orbit_bad_json(capsys, tmp_path):
     bad.write_text("[[")
     code, _, err = run(capsys, ["orbit", str(bad)])
     assert code == 2 and "not valid JSON" in err
+
+
+def test_non_utf8_input_file_is_not_valid_json(capsys, tmp_path, monkeypatch):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    for argv in (["orbit", str(bad)], ["growth-solve", str(bad)]):
+        code, _, err = run(capsys, argv)
+        assert code == 2 and "not valid JSON" in err
+    monkeypatch.setenv(cli.CONFIG_ENV, str(bad))
+    code, _, err = run(capsys, ["rootsys", "--preset", "a2"])
+    assert code == 2 and "not valid JSON" in err
+
+
+@pytest.mark.parametrize("command", ["figure", "orbit"])
+def test_unwritable_output_path_exits_2(capsys, tmp_path, command):
+    gens = tmp_path / "cyc.json"
+    gens.write_text(json.dumps({"ambient": "sl3r", "generators": [],
+                                "max_word_length": 2}))
+    argv = {"figure": ["figure", "--preset", "a2",
+                       "-o", str(tmp_path / "missing" / "x.svg")],
+            "orbit": ["orbit", str(gens), "-o", str(tmp_path)]}[command]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: cannot write") and err.count("\n") == 1
 
 
 def test_orbit_bad_mu(capsys, tmp_path):

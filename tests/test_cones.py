@@ -4,21 +4,19 @@ from fractions import Fraction as Q
 import pytest
 
 from weylgrowth.cones import (
+    PolyCone,
     avoids_facet,
     chamber_rays,
-    cone_contains,
     cone_from_json,
     cone_to_json,
     conv_hull_member,
     conv_hull_member_enumeration,
     dominant_cone,
-    dual_cone,
-    interior_dual_member,
-    lemma_positivity,
     poly_cone,
 )
 from weylgrowth.errors import InputError
-from weylgrowth.rational import dot, matvec, primitive, vec
+from weylgrowth.polyhedra import conic_member, extreme_rays
+from weylgrowth.rational import dot, is_zero, matvec, primitive, vec
 from weylgrowth.rootsystem import (
     build_root_system,
     dominant_representative,
@@ -26,6 +24,40 @@ from weylgrowth.rootsystem import (
     rho,
     weyl_group,
 )
+
+from lemma_oracle import lemma_positivity
+
+
+def cone_contains(C: PolyCone, v, strict=None) -> bool:
+    """Exact membership; strict defaults to the cone's open flag."""
+    v = vec(v)
+    if strict is None:
+        strict = C.open_flag
+    if C.halfspaces is not None:
+        if strict:
+            return all(dot(h, v) > 0 for h in C.halfspaces)
+        return all(dot(h, v) >= 0 for h in C.halfspaces)
+    if strict:
+        raise InputError("strict membership needs a halfspace representation")
+    return conic_member(C.generators, v)
+
+
+def dual_cone(C: PolyCone) -> PolyCone:
+    """{mu : mu(v) >= 0 on C}, with both representations."""
+    if C.generators is None:
+        raise InputError("dual_cone needs a generator representation")
+    gens = tuple(extreme_rays(C.generators, C.rank))
+    return PolyCone(rank=C.rank, generators=gens, halfspaces=C.generators)
+
+
+def interior_dual_member(C: PolyCone, mu) -> bool:
+    """Is mu strictly positive on C minus the origin?"""
+    mu = vec(mu)
+    if C.generators is None:
+        raise InputError("interior_dual_member needs a generator representation")
+    if is_zero(mu):
+        return False
+    return all(dot(mu, g) > 0 for g in C.generators)
 
 
 def test_dominant_cone_shapes():

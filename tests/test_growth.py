@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from weylgrowth.cones import cone_from_json, dominant_cone, poly_cone
-from weylgrowth import growth
+from weylgrowth import cones, growth
 from weylgrowth.errors import CheckFailure, InputError, ModelInvariantError
 from weylgrowth.growth import (
     NEG_INF,
@@ -18,9 +18,7 @@ from weylgrowth.growth import (
     dominant_iota_classes,
     evaluate,
     evaluate_modified,
-    exponent_sandwich,
     growth_model_from_json,
-    growth_model_to_json,
     growth_polytope_vertices,
     iota_vector_matrix,
     modified_cone_nonempty,
@@ -33,6 +31,7 @@ from weylgrowth.rational import dot, lincomb, matvec, to_float, vadd, vec, vscal
 from weylgrowth.rootsystem import apply_iota, build_root_system, fundamental_weights, rho
 
 from lp_oracle import lp_feasible_ineq
+from model_json import growth_model_to_json
 
 
 def so25():
@@ -76,6 +75,10 @@ def test_model_invariant_violations():
         build_growth_model(A2, dominant_cone(A2), [["5/3", "4/3"]])
     with pytest.raises(InputError):
         build_growth_model(R, C, [])
+    B3 = build_root_system("b3")
+    for cone in (C, poly_cone(generators=[[1, 0]], rank=2)):
+        with pytest.raises(InputError, match="cone rank 2"):
+            build_growth_model(B3, cone, [rho(B3)])
 
 
 def test_involution_sample_violation_message():
@@ -396,6 +399,30 @@ def test_delta_prime_matches_lp_and_epigraph_oracle():
     assert min(checked.values()) > 0, checked
 
 
+def exponent_sandwich(G, mu):
+    """(delta' - inf rho, delta' + sup rho) over the slice mu = 1.
+
+    Requires mu strictly positive on the cone minus the origin; the
+    unmodified exponent is recomputed and must lie inside; CheckFailure
+    otherwise.
+    """
+    mu = vec(mu)
+    if not G.cone.generators:
+        raise InputError("sandwich needs a nonempty cone")
+    if not all(dot(mu, g) > 0 for g in G.cone.generators):
+        raise InputError("sandwich needs mu positive on the cone")
+    dp = growth.delta_prime(G, mu).value
+    # the slice is the convex hull of the points g / mu(g)
+    r = rho(G.root_system)
+    vals = [dot(r, g) / dot(mu, g) for g in G.cone.generators]
+    lower, upper = dp - min(vals), dp + max(vals)
+    d = growth.delta_prime(G, mu, modified=False).value
+    if not lower <= d <= upper:
+        raise CheckFailure(f"unmodified exponent {d} lies outside the "
+                           f"sandwich [{lower}, {upper}]")
+    return lower, upper
+
+
 def test_exponent_sandwich():
     R = so25()
     G = rho_model(R)
@@ -474,6 +501,28 @@ def test_random_models_valid_and_positive():
                 assert evaluate(G, g) >= 0
                 assert evaluate(G, g) <= 2 * dot(rho(R), g)
                 assert evaluate(G, matvec(iota_v, g)) == evaluate(G, g)
+
+
+def test_model_from_generators_derives_halfspaces_once(monkeypatch):
+    # ray enumeration is exact, so the derived halfspaces need no cross-check
+    calls = {"extreme_rays": 0, "conic_member": 0}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(growth, "extreme_rays")
+    count(cones, "extreme_rays")
+    count(cones, "conic_member")
+    G = growth_model_from_json({"root_system": "b3",
+                                "cone": {"generators": [[7, 3, 1], [7, 5, 1]]},
+                                "pieces": [["5/2", "3/2", "1/2"]]})
+    assert calls == {"extreme_rays": 1, "conic_member": 0}
+    assert len(G.cone.halfspaces) == 4
 
 
 def test_model_json_roundtrip():

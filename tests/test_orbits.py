@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 from weylgrowth import cli, orbits
 from weylgrowth.errors import CapExceeded, InputError
@@ -365,8 +364,9 @@ POOL = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "data"
 def linprog_convex_position(dirs):
     """Convex position by one HiGHS feasibility LP per direction.
 
-    The loop _convex_position replaced with nonnegative least squares; the
-    two must keep the same directions in the same order.
+    Drops, in turn, each direction that is a nonnegative combination of
+    the others still kept; the hull path must keep the same directions in
+    the same order.
     """
     from scipy.optimize import linprog
 
@@ -384,15 +384,53 @@ def linprog_convex_position(dirs):
     return kept
 
 
-def cone_directions(monkeypatch, S, radius_cut):
-    """The deduped directions empirical_limit_cone filters, in its order."""
-    seen = []
-    real = orbits._convex_position
-    with monkeypatch.context() as m:
-        m.setattr(orbits, "_convex_position",
-                  lambda dirs: seen.append(list(dirs)) or real(dirs))
-        empirical_limit_cone(S, radius_cut)
-    return seen[0]
+def unit_directions(S, radius_cut):
+    """The normalized sample points of norm at least radius_cut, in order."""
+    dirs = []
+    for p, _ in S.points:
+        r = math.sqrt(sum(x * x for x in p))
+        if r >= radius_cut and r > 0:
+            dirs.append(tuple(x / r for x in p))
+    return dirs
+
+
+def cone_directions(S, radius_cut):
+    """The directions the per-direction loop filtered: the unit directions
+    deduped at 6 decimals, each key's last direction at its first place."""
+    uniq = {}
+    for d in unit_directions(S, radius_cut):
+        uniq[tuple(round(x, 6) for x in d)] = d
+    return list(uniq.values())
+
+
+def angular_extremes(S, radius_cut):
+    """The rank-2 rule the hull replaced: the first directions of least and
+    of greatest angle in the fan, or that of greatest angle alone when the
+    angles spread by at most 1e-12."""
+    dirs = unit_directions(S, radius_cut)
+    u1 = (1 / math.sqrt(2), 0.0, -1 / math.sqrt(2))
+    u2 = (1 / math.sqrt(6), -2 / math.sqrt(6), 1 / math.sqrt(6))
+    angs = [math.atan2(sum(a * b for a, b in zip(d, u2)),
+                       sum(a * b for a, b in zip(d, u1))) for d in dirs]
+    lo = min(range(len(angs)), key=angs.__getitem__)
+    hi = max(range(len(angs)), key=angs.__getitem__)
+    if angs[hi] - angs[lo] <= 1e-12:
+        return [dirs[hi]]
+    return [dirs[lo], dirs[hi]]
+
+
+def axis_spreads(dirs):
+    """Per principal axis of the slice points d / <rho, d>, the largest
+    distance of a point from their mean along it."""
+    D = np.array(dirs)
+    n = D.shape[1]
+    Y = D / (D @ ((n - 1) / 2 - np.arange(n)))[:, None]
+    Y -= Y.mean(axis=0)
+    return np.abs(Y @ np.linalg.svd(Y, full_matrices=False)[2].T).max(axis=0)
+
+
+def generator_list(C):
+    return [tuple(float(x) for x in g) for g in C.generators]
 
 
 def tail_cut(S, tail=40):
@@ -407,35 +445,59 @@ def tail_cut(S, tail=40):
 CONE_CASES = ([(kind, i, 1.0) for kind in ("sl4r", "sl5r") for i in range(12)]
               + [("sl4r", 0, 0.6), ("sl5r", 7, 0.6),
                  ("seeded-sl4r", None, None), ("seeded-sl5r", None, None),
-                 ("block-pair-sl4", None, None)])
+                 ("block-pair-sl4", None, None), ("seeded-sl6r", None, None)])
+# specs cut at their 40th-largest point norm
+CONE_SPECS = {"seeded-sl4r": ORACLE_SPECS["sl4r"],
+              "seeded-sl5r": ORACLE_SPECS["sl5r"],
+              "block-pair-sl4": ORACLE_SPECS["block-pair-sl4"],
+              "seeded-sl6r": seeded_pair(6, 9, 4)}
 
 
 @pytest.mark.parametrize("kind,index,scale", CONE_CASES)
-def test_convex_position_matches_linprog_oracle(monkeypatch, kind, index, scale):
+def test_convex_position_matches_linprog_oracle(kind, index, scale):
     if index is None:
-        spec = ORACLE_SPECS[kind.replace("seeded-", "")]
-        S = enumerate_orbit(spec)
+        S = enumerate_orbit(CONE_SPECS[kind])
         cut = tail_cut(S)
     else:
         entry = POOL[kind][index]
         S = enumerate_orbit(entry["spec"])
         cut = entry["radius_cut"] * scale
-    dirs = cone_directions(monkeypatch, S, cut)
-    residuals = []
-    real = scipy.optimize.nnls
-
-    def recording(A, b, **kwargs):
-        x, r = real(A, b, **kwargs)
-        residuals.append(r)
-        return x, r
-
-    monkeypatch.setattr(scipy.optimize, "nnls", recording)
-    kept = orbits._convex_position(dirs)
+    dirs = cone_directions(S, cut)
+    kept = generator_list(empirical_limit_cone(S, cut))
     assert kept == linprog_convex_position(dirs)
     assert 1 < len(kept) < len(dirs)
-    # no verdict lies within two decades of the tolerance either way
-    assert all(r <= orbits._CONE_MEMBER_TOL / 100
-               or r >= orbits._CONE_MEMBER_TOL * 100 for r in residuals)
+    # no axis spreads within two decades of the flatness tolerance either way
+    assert all(s <= orbits._FLAT_TOL / 100 or s >= orbits._FLAT_TOL * 100
+               for s in axis_spreads(unit_directions(S, cut)))
+
+
+# every sl3r pool entry at 1.0, 0.6 and 0.2 of its cut, and the rank-2
+# oracle specs at their 40th-largest point norm
+RANK2_CASES = ([(i, scale) for i in range(12) for scale in (1.0, 0.6, 0.2)]
+               + [(name, None) for name in ("sl3r", "sl3r-coarse",
+                                            "cyclic-dropped")])
+
+
+@pytest.mark.parametrize("index,scale", RANK2_CASES)
+def test_rank2_cone_matches_angular_extremes(index, scale):
+    if scale is None:
+        S = enumerate_orbit(ORACLE_SPECS[index])
+        cut = tail_cut(S)
+    else:
+        entry = POOL["sl3r"][index]
+        S = enumerate_orbit(entry["spec"])
+        cut = entry["radius_cut"] * scale
+    assert generator_list(empirical_limit_cone(S, cut)) == \
+        angular_extremes(S, cut)
+
+
+def test_sl2_cone_is_one_ray():
+    S = enumerate_orbit(free_pair_sl2())
+    dirs = unit_directions(S, tail_cut(S))
+    C = empirical_limit_cone(S, tail_cut(S))
+    assert generator_list(C) == dirs[:1]
+    r = 1 / math.sqrt(2)
+    assert max(abs(a - b) for a, b in zip(dirs[0], (r, -r))) <= 1e-12
 
 
 def chamber_rays_sl4():
@@ -459,43 +521,12 @@ def combined_directions():
 def test_convex_position_keeps_only_chamber_rays():
     dirs = combined_directions()
     rays = chamber_rays_sl4()
-    # the first ray goes against its own copy; the copy then stays
-    assert orbits._convex_position(dirs) == [rays[1], rays[2], rays[0]]
+    kept = orbits._extreme_directions(np.array(dirs))
+    # one of the first ray's two copies, whichever Qhull picks
+    assert kept == sorted(kept) and len(kept) == 3
+    assert {dirs[i] for i in kept} == set(rays)
+    # the oracle tests the first ray against its own copy; the copy then stays
     assert linprog_convex_position(dirs) == [rays[1], rays[2], rays[0]]
-
-
-def test_convex_position_keeps_direction_when_nnls_gives_up(monkeypatch):
-    dirs = combined_directions()
-    rays = chamber_rays_sl4()
-    stuck = dirs[3]
-    real = scipy.optimize.nnls
-
-    def capped(A, b, **kwargs):
-        if tuple(b) == stuck:
-            raise RuntimeError("Maximum number of iterations reached.")
-        return real(A, b, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "nnls", capped)
-    assert orbits._convex_position(dirs) == [rays[1], rays[2], stuck, rays[0]]
-
-
-def test_orbit_cli_keeps_every_direction_when_nnls_gives_up(
-        monkeypatch, capsys, tmp_path):
-    entry = POOL["sl4r"][0]
-    dirs = cone_directions(monkeypatch, enumerate_orbit(entry["spec"]),
-                           entry["radius_cut"])
-
-    def capped(A, b, **kwargs):
-        raise RuntimeError("Maximum number of iterations reached.")
-
-    monkeypatch.setattr(scipy.optimize, "nnls", capped)
-    path = tmp_path / "group.json"
-    path.write_text(json.dumps(entry["spec"]))
-    code = cli.main(["orbit", str(path), "--radius-cut",
-                     repr(entry["radius_cut"])])
-    out = capsys.readouterr()
-    assert code == 0 and out.err == ""
-    assert json.loads(out.out)["cone_generators"] == [list(d) for d in dirs]
 
 
 # recorded from the HiGHS-based implementation on two pool entries; the
@@ -626,7 +657,9 @@ def reference_iota_check(spec, depth):
             if last >= 0 and j == (last + m) % (2 * m):
                 continue
             inv_j = (j + m) % (2 * m)
-            stack.append((P @ L, mats[inv_j] @ Pinv, j, length + 1))
+            # overflowing products are degenerate words, as in _walk
+            with np.errstate(over="ignore", invalid="ignore"):
+                stack.append((P @ L, mats[inv_j] @ Pinv, j, length + 1))
     return {"pairs": pairs, "failures": failures,
             "max_deviation": float(worst), "tolerance": CHECK_TOL}
 

@@ -8,13 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from weylgrowth.cones import (avoids_facet, chamber_rays, closure, cone_contains,
-                              poly_cone)
+from weylgrowth.cones import avoids_facet, chamber_rays, closure, poly_cone
 from weylgrowth.critical import critical_data, theta_mu
 from weylgrowth.errors import CheckFailure, InputError
 from weylgrowth.growth import (build_growth_model, modified_cone_nonempty,
                                modified_limit_cone, random_growth_model)
 from weylgrowth import verify
+from weylgrowth.polyhedra import conic_member
 from weylgrowth.rational import dot, lincomb, vadd, vec, vscale, vsub
 from weylgrowth.rootsystem import (apply_iota, build_root_system,
                                    fundamental_weights, rho)
@@ -254,7 +254,7 @@ def test_argmax_face_matches_definition():
             for v in rays:
                 attains = dot(mu, v) / dot(lam, v) == top
                 assert (v in face.generators) == attains
-            assert all(cone_contains(face, v) for v in face.generators)
+            assert all(conic_member(face.generators, v) for v in face.generators)
 
 
 # -- one-wall replay ----------------------------------------------------------
