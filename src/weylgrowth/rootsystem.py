@@ -5,6 +5,12 @@ against a vector is the plain dot product.  The inner product on covectors is
 x^T G y for a symmetric positive-definite rational Gram matrix G (identity for
 every preset stated in standard coordinates); vectors pair through G^-1, and
 the identification covector -> vector is mu -> G mu.
+
+One integer core serves the construction: the Cartan matrix
+A[i][j] = 2<a_i, a_j>/<a_j, a_j>, computed once in ints, and each root's
+integer coordinates in the simple-root basis.  The positive closure, heights,
+W-invariance checks, strongly orthogonal cascade and longest element w0 run on
+these tuples; ambient Fraction vectors are formed once, at the end of a build.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import functools
 import inspect
 import re
+from operator import add, mul, sub
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from types import MappingProxyType
@@ -31,7 +38,6 @@ from .rational import (
     matvec,
     rank as mat_rank,
     solve,
-    solve_unique,
     transpose,
     unit,
     vadd,
@@ -77,6 +83,11 @@ class RootSystem:
     pos_roots: tuple[tuple[Vec, Q], ...]  # (root, multiplicity), sorted by height
     inner_product: Mat
     label: str = "custom"
+    # the integer core, filled by _finish: the Cartan matrix, the simple-root
+    # Gram matrix over one denominator and the coordinates of pos_roots
+    cartan: tuple = field(kw_only=True, compare=False, repr=False)
+    simple_gram: tuple = field(kw_only=True, compare=False, repr=False)
+    coords: tuple = field(kw_only=True, compare=False, repr=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     # -- pairings ---------------------------------------------------------
@@ -97,13 +108,6 @@ class RootSystem:
     def covector_to_vector(self, mu: Vec) -> Vec:
         return matvec(self.inner_product, mu)
 
-    def cartan_pairing(self, x: Vec, alpha: Vec):
-        """2<x, alpha> / <alpha, alpha>."""
-        return 2 * self.ip(x, alpha) / self.ip(alpha, alpha)
-
-    def reflect(self, x: Vec, alpha: Vec) -> Vec:
-        return vsub(x, vscale(self.cartan_pairing(x, alpha), alpha))
-
     # -- predicates -------------------------------------------------------
 
     def is_dominant_covector(self, mu: Vec) -> bool:
@@ -114,20 +118,6 @@ class RootSystem:
         """All roots, positive and negative."""
         pos = [r for r, _ in self.pos_roots]
         return frozenset(pos) | frozenset(tuple(-x for x in r) for r in pos)
-
-    @memo("mult_map")
-    def _mult_map(self) -> dict:
-        m = {}
-        for r, mr in self.pos_roots:
-            m[r] = mr
-            m[tuple(-x for x in r)] = mr
-        return m
-
-    def multiplicity(self, root: Vec) -> Q:
-        try:
-            return self._mult_map()[tuple(root)]
-        except KeyError:
-            raise InputError(f"{root} is not a root of {self.label}") from None
 
     def irreducible_components(self) -> list[list[int]]:
         """Indices of simple roots grouped by the orthogonality graph."""
@@ -143,55 +133,69 @@ class RootSystem:
                     continue
                 seen.add(j)
                 comp.append(j)
-                stack.extend(k for k in range(n) if k not in seen
-                             and self.ip(self.simple_roots[j], self.simple_roots[k]) != 0)
+                stack.extend(k for k in range(n)
+                             if k not in seen and self.simple_gram[j][k] != 0)
             comps.append(sorted(comp))
         return comps
 
 
-# -- closure of the positive system ---------------------------------------
+# -- the integer core ------------------------------------------------------
 
 
-def _positive_closure(simple: tuple[Vec, ...], G: Mat) -> list[Vec]:
-    """All positive roots from the simple ones, by the root-string criterion."""
+def _neg(c: tuple) -> tuple:
+    return tuple(-x for x in c)
 
-    def cartan(b, a):
-        c = 2 * dot(b, matvec(G, a)) / dot(a, matvec(G, a))
-        if c.denominator != 1:
-            raise InputError(f"non-crystallographic pair: 2<{b},{a}>/<{a},{a}> = {c}")
-        return int(c)
 
-    roots = set(simple)
-    level = list(simple)
+def _reflect(cols, c: tuple, j: int) -> tuple:
+    """s_j on simple-root coordinates: c_j drops by <c, a_j^vee>, where
+    cols[j] is column j of the Cartan matrix."""
+    return c[:j] + (c[j] - sum(map(mul, c, cols[j])),) + c[j + 1:]
+
+
+def _cartan_matrix(simple: tuple[Vec, ...], G: Mat) -> tuple[tuple, tuple]:
+    """(A, B): the Cartan matrix A[i][j] = 2<a_i, a_j>/<a_j, a_j> and the Gram
+    matrix <a_i, a_j> over one denominator, both in ints.  Rejects dependent
+    or positively pairing simple roots (a zero one would stall the closure),
+    then the first non-integer entry of A in row order."""
+    n = len(simple)
+    if mat_rank(simple) != n:
+        raise InputError("simple roots are not linearly independent")
+    gram = matmul(simple, transpose([matvec(G, b) for b in simple]))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if gram[i][j] > 0:
+                raise InputError(f"simple roots {i},{j} have positive inner product {gram[i][j]}")
+    A = [[2 * g / gram[j][j] for j, g in enumerate(row)] for row in gram]
+    for i, j in ((i, j) for i in range(n) for j in range(n) if A[i][j].denominator != 1):
+        b, a = vec_to_json(simple[i]), vec_to_json(simple[j])
+        raise InputError(f"non-crystallographic pair: 2<{b},{a}>/<{a},{a}> = {A[i][j]}")
+    return tuple(tuple(map(int, row)) for row in A), cleared_rows(gram)[1]
+
+
+def _positive_closure(A: tuple) -> list[tuple[int, ...]]:
+    """All positive roots in simple-root coordinates, by the root-string
+    criterion: b + a_j is a root iff the a_j-string below b is longer than
+    <b, a_j^vee>."""
+    n = len(A)
+    cols = tuple(zip(*A))
+    level = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    roots = set(level)
     for _ in range(1000):
         nxt = []
         for b in level:
-            for a in simple:
+            for j, col in enumerate(cols):
                 p = 0
-                g = vsub(b, a)
-                while g in roots:
+                while b[j] > p and b[:j] + (b[j] - p - 1,) + b[j + 1:] in roots:
                     p += 1
-                    g = vsub(g, a)
-                if p - cartan(b, a) > 0:
-                    s = vadd(b, a)
+                if p > sum(map(mul, b, col)):
+                    s = b[:j] + (b[j] + 1,) + b[j + 1:]
                     if s not in roots:
                         roots.add(s)
                         nxt.append(s)
         if not nxt:
-            return sorted(roots)
+            return list(roots)
         level = nxt
     raise InputError("positive-root closure did not terminate; input is not a root system")
-
-
-def _heights(simple: tuple[Vec, ...], roots) -> dict:
-    cols = transpose(mat(simple))
-    out = {}
-    for r in roots:
-        c = solve_unique(cols, r)
-        if c is None or any(x.denominator != 1 or x < 0 for x in c):
-            raise InputError(f"{r} is not a nonnegative integer combination of the simple roots")
-        out[r] = sum(int(x) for x in c)
-    return out
 
 
 # -- presets ---------------------------------------------------------------
@@ -220,7 +224,8 @@ def _b_type_simple(n: int) -> tuple[Vec, ...]:
 
 
 def _preset_data(name: str):
-    """Returns (simple_roots, gram, mult_fn, label) for a preset name."""
+    """Returns (simple_roots, gram, mult_fn, label) for a preset name; mult_fn
+    maps a positive root's simple-root coordinates to its multiplicity."""
     s = name.lower().replace(" ", "")
     m = re.fullmatch(r"([a-g])(\d+)", s)
     if m:
@@ -274,10 +279,10 @@ def _preset_data(name: str):
                 raise InputError("so(p,p) needs p >= 2")
             simple, gram, _, _ = _preset_data(f"d{p}")
             return simple, gram, lambda r: Q(1), s
-        # type B_p; short roots +-e_i carry multiplicity q - p
-        def mult_fn(r, G=identity(p), short=Q(q - p)):
-            return short if dot(r, matvec(G, r)) == 1 else Q(1)
-        return _b_type_simple(p), identity(p), mult_fn, s
+        # type B_p; the short roots e_i = a_i + ... + a_p, the positive roots
+        # whose last simple-root coordinate is 1, carry multiplicity q - p
+        short = Q(q - p)
+        return _b_type_simple(p), identity(p), lambda c: short if c[-1] == 1 else Q(1), s
 
     raise InputError(f"unknown preset {name!r}")
 
@@ -295,9 +300,9 @@ def build_root_system(spec) -> RootSystem:
     """
     if isinstance(spec, str):
         simple, gram, mult_fn, label = _preset_data(spec)
-        pos = _positive_closure(simple, gram)
-        pairs = {r: mult_fn(r) for r in pos}
-        return _finish(simple, gram, pairs, label)
+        A, B = _cartan_matrix(simple, gram)
+        mults = {c: mult_fn(c) for c in _positive_closure(A)}
+        return _finish(simple, gram, A, B, mults, label)
     if isinstance(spec, dict):
         if "preset" in spec:
             return build_root_system(spec["preset"])
@@ -313,9 +318,10 @@ def build_root_system(spec) -> RootSystem:
                          for r in spec["inner_product"])
         if not is_positive_definite(gram):
             raise InputError("inner_product must be symmetric positive definite")
-        pos = _positive_closure(simple, gram)
-        pairs = _custom_multiplicities(simple, gram, pos, spec.get("multiplicities"))
-        return _finish(simple, gram, pairs, "custom")
+        A, B = _cartan_matrix(simple, gram)
+        mults = _custom_multiplicities(simple, A, _positive_closure(A),
+                                       spec.get("multiplicities"))
+        return _finish(simple, gram, A, B, mults, "custom")
     raise InputError(f"cannot build a root system from {type(spec).__name__}")
 
 
@@ -326,14 +332,17 @@ def json_rows(rows, what) -> int:
     return len(rows)
 
 
-def _custom_multiplicities(simple, gram, pos, entries):
+def _custom_multiplicities(simple, A, pos, entries) -> dict:
+    """{coordinates: multiplicity} for the positive roots pos and any 2*alpha
+    entries, each given entry propagated over its W-orbit."""
     if not entries:
-        return {r: Q(1) for r in pos}
+        return {c: Q(1) for c in pos}
     if not isinstance(entries, list):
         raise InputError("multiplicities must be a list")
+    to_coords = inverse(transpose(simple))
     posset = set(pos)
-    assigned: dict[Vec, Q] = {}
-    extra: dict[Vec, Q] = {}  # non-reduced 2*alpha entries, kept as data
+    assigned: dict[tuple, Q] = {}
+    extra: dict[tuple, Q] = {}  # non-reduced 2*alpha entries, kept as data
     for e in entries:
         if not isinstance(e, dict) or "root" not in e or "m" not in e:
             raise InputError(f"multiplicity entry {e!r} needs 'root' and 'm'")
@@ -341,76 +350,75 @@ def _custom_multiplicities(simple, gram, pos, entries):
         (mval,) = vec_from_json([e["m"]], 1, f"multiplicity {e['m']!r}")
         if mval <= 0:
             raise InputError("multiplicities must be positive")
-        if r in posset:
+        # Fraction tuples hash and compare like the int tuples they equal
+        c = matvec(to_coords, r)
+        if c in posset:
             target = assigned
-        elif vscale(Q(1, 2), r) in posset:
+        elif tuple(x / 2 for x in c) in posset:
             target = extra
         else:
-            raise InputError(f"{r} is neither a positive root nor twice one")
-        if target.get(r, mval) != mval:
-            raise InputError(f"conflicting multiplicities for {r}")
-        target[r] = mval
+            raise InputError(f"{vec_to_json(r)} is neither a positive root nor twice one")
+        c = tuple(map(int, c))
+        if target.get(c, mval) != mval:
+            raise InputError(f"conflicting multiplicities for {vec_to_json(r)}")
+        target[c] = mval
 
     # propagate over W-orbits through simple reflections
+    cols = tuple(zip(*A))
+
     def propagate(table, universe):
         changed = True
         while changed:
             changed = False
-            for r in list(table):
-                for a in simple:
-                    c = 2 * dot(r, matvec(gram, a)) / dot(a, matvec(gram, a))
-                    img = vsub(r, vscale(c, a))
-                    pimg = img if img in universe else tuple(-x for x in img)
+            for c in list(table):
+                for j in range(len(cols)):
+                    img = _reflect(cols, c, j)
+                    pimg = img if img in universe else _neg(img)
                     if pimg not in universe:
                         continue
                     if pimg in table:
-                        if table[pimg] != table[r]:
+                        if table[pimg] != table[c]:
                             raise InputError("multiplicity map is not W-invariant")
                     else:
-                        table[pimg] = table[r]
+                        table[pimg] = table[c]
                         changed = True
 
     propagate(assigned, posset)
     missing = posset - set(assigned)
     if missing:
-        raise InputError(f"multiplicity missing for roots {sorted(missing)}")
+        shown = sorted(lincomb(c, simple) for c in missing)
+        raise InputError(f"multiplicity missing for roots {[vec_to_json(r) for r in shown]}")
     if extra:
-        doubled = {vscale(2, r) for r in posset}
-        propagate(extra, doubled)
+        propagate(extra, {tuple(2 * x for x in c) for c in posset})
     assigned.update(extra)
     return assigned
 
 
-def _finish(simple, gram, pairs, label) -> RootSystem:
+def _finish(simple, gram, A, B, mults, label) -> RootSystem:
+    """The root system whose positive roots are the coordinate tuples of
+    mults, ordered by (height = coordinate sum, ambient root), once its
+    multiplicities and inner product pass the W-invariance checks."""
     n = len(simple)
-    if mat_rank(simple) != n:
-        raise InputError("simple roots are not linearly independent")
-    for i in range(n):
-        for j in range(i + 1, n):
-            g = dot(simple[i], matvec(gram, simple[j]))
-            if g > 0:
-                raise InputError(f"simple roots {i},{j} have positive inner product {g}")
-    reduced = [r for r in pairs if vscale(Q(1, 2), r) not in pairs]
-    hts = _heights(simple, reduced)
-    for r in pairs:
-        if r not in hts:
-            hts[r] = 2 * hts[vscale(Q(1, 2), r)]
-    ordered = tuple(sorted(pairs.items(), key=lambda kv: (hts[kv[0]], kv[0])))
-    R = RootSystem(rank=n, simple_roots=tuple(simple), pos_roots=ordered,
-                   inner_product=gram, label=label)
-    _validate_w_invariance(R)
-    return R
-
-
-def _validate_w_invariance(R: RootSystem):
-    for a in R.simple_roots:
-        for r, m in R.pos_roots:
-            img = R.reflect(r, a)
-            if R.multiplicity(img) != m:
+    D, S = cleared_rows(transpose(simple))
+    ambient = {c: tuple(Q(sum(map(mul, c, x)), D) for x in S) for c in mults}
+    ordered = sorted(mults, key=lambda c: (sum(c), ambient[c]))
+    signed = {**mults, **{_neg(c): m for c, m in mults.items()}}
+    cols = tuple(zip(*A))
+    for j, a in enumerate(cols):
+        for c in ordered:
+            img = _reflect(cols, c, j)
+            if img not in signed:
+                raise InputError(f"{vec_to_json(lincomb(img, simple))} is not a root of {label}")
+            if signed[img] != mults[c]:
                 raise InputError("multiplicity map is not W-invariant")
-        s = reflection_matrix(R, a)
-        if matmul(transpose(s), matmul(R.inner_product, s)) != R.inner_product:
+        # (S_j^T B S_j - B)[i][k] for the reflection S_j e_i = e_i - A[i][j] e_j
+        if any(a[i] * a[k] * B[j][j] - a[i] * B[j][k] - a[k] * B[i][j]
+               for i in range(n) for k in range(n)):
             raise InputError("inner product is not W-invariant")
+    return RootSystem(rank=n, simple_roots=tuple(simple),
+                      pos_roots=tuple((ambient[c], mults[c]) for c in ordered),
+                      inner_product=gram, label=label,
+                      cartan=A, simple_gram=B, coords=tuple(ordered))
 
 
 # -- derived data ----------------------------------------------------------
@@ -490,17 +498,11 @@ def vector_action(R: RootSystem, w: Mat) -> Mat:
 
 @memo("descent_data")
 def _descent_data(R: RootSystem) -> tuple:
-    """(C, 2/<a_i, a_i>) for the Cartan matrix C[i][j] = 2<a_i, a_j>/<a_i, a_i>.
-
-    The entries of C are integers (the positive closure rejects any other
-    pair), and s_i moves the simple-root pairings of a covector x by
-    <s_i x, a_j> = <x, a_j> - <x, a_i> C[i][j].
-    """
+    """(C, 2/<a_i, a_i>) for C[i] column i of the Cartan matrix: s_i moves the
+    simple-root pairings of x by <s_i x, a_j> = <x, a_j> - <x, a_i> C[i][j]."""
     gas = gram_images(R)[0]
-    scales = tuple(2 / dot(a, ga) for a, ga in zip(R.simple_roots, gas))
-    C = tuple(tuple(int(s * dot(b, ga)) for b in R.simple_roots)
-              for s, ga in zip(scales, gas))
-    return C, scales
+    return (tuple(zip(*R.cartan)),
+            tuple(2 / dot(a, ga) for a, ga in zip(R.simple_roots, gas)))
 
 
 def dominant_descent(R: RootSystem, lam: Vec) -> tuple[Vec, tuple[int, ...]]:
@@ -546,15 +548,24 @@ def dominant_representative(R: RootSystem, lam: Vec) -> tuple[Vec, Mat]:
 @memo("opposition_involution")
 def opposition_involution(R: RootSystem) -> Mat:
     """iota = -w0 as a matrix on covector coordinates; w0 carries the
-    antidominant -(sum of the fundamental weights) into the chamber."""
-    lam = vzero(R.rank)
-    for wvec in fundamental_weights(R):
-        lam = vsub(lam, wvec)
-    _, w = dominant_representative(R, lam)
-    pos = {r for r, _ in R.pos_roots}
-    if {matvec(w, r) for r in pos} != {tuple(-c for c in r) for r in pos}:
+    antidominant -(sum of the fundamental weights) into the chamber.
+
+    The descent's word acts on simple-root coordinates, where -w0 is an
+    integer matrix Pi; with P the matrix whose columns are the simple
+    roots, iota = P Pi P^-1.
+    """
+    lam = tuple(-sum(x) for x in zip(*fundamental_weights(R)))
+    _, word = dominant_descent(R, lam)
+    cols, _ = _descent_data(R)
+    images = [tuple(int(i == j) for i in range(R.rank)) for j in range(R.rank)]
+    for i in word:
+        images = [_reflect(cols, c, i) for c in images]
+    w0 = tuple(zip(*images))
+    if ({tuple(sum(map(mul, row, c)) for row in w0) for c in R.coords}
+            != {_neg(c) for c in R.coords}):
         raise InternalError("longest element search failed: w0(pos) != -pos")
-    return tuple(tuple(-c for c in row) for row in w)
+    P = transpose(R.simple_roots)
+    return matmul(matmul(P, tuple(map(_neg, w0))), inverse(P))
 
 
 @memo("iota_permutation")
@@ -579,36 +590,39 @@ def apply_iota(R: RootSystem, x: Vec) -> Vec:
 # -- strongly orthogonal cascade ------------------------------------------
 
 
+@memo("theta")
 def strongly_orthogonal_theta(R: RootSystem) -> tuple[tuple[Vec, ...], Vec]:
     """Cascade: take the highest root, keep only roots strongly orthogonal to
     every selected one, repeat.  Theta is half the sum of the selection (no
-    multiplicities).  Reducible systems are handled factor by factor."""
-    allroots = R.root_set()
+    multiplicities).  Reducible systems are handled factor by factor.
 
-    def strongly_orthogonal(b, g):
-        return (R.ip(b, g) == 0 and vadd(b, g) not in allroots
-                and vsub(b, g) not in allroots)
+    Roots are indices into pos_roots, compared by simple-root coordinates; a
+    subsystem's height is one integer functional h with h . s = 1 on its
+    simple roots s, and ties go to the larger ambient root.
+    """
+    coords, B = R.coords, R.simple_gram
+    allroots = set(coords) | {_neg(c) for c in coords}
+    Bc = [tuple(sum(map(mul, row, c)) for row in B) for c in coords]
 
-    remaining = [r for r, _ in R.pos_roots]
+    def strongly_orthogonal(k, best):
+        b, g = coords[k], coords[best]
+        return (sum(map(mul, b, Bc[best])) == 0
+                and tuple(map(add, b, g)) not in allroots
+                and tuple(map(sub, b, g)) not in allroots)
+
+    remaining = list(range(len(coords)))
     selected = []
     while remaining:
-        rem = set(remaining)
+        rem = {coords[k] for k in remaining}
         # indecomposables of the current subsystem are its simple roots
-        simp = [b for b in remaining if not any(g != b and vsub(b, g) in rem for g in remaining)]
-        cols = transpose(mat(simp))
-
-        def sub_height(r, cols=cols):
-            c, _ = solve(cols, r)
-            return sum(c)
-
-        best = max(remaining, key=lambda r: (sub_height(r), r))
-        selected.append(best)
-        remaining = [b for b in remaining if strongly_orthogonal(b, best)]
-
-    theta = vzero(R.rank)
-    for r in selected:
-        theta = vadd(theta, r)
-    return tuple(selected), vscale(Q(1, 2), theta)
+        simp = [coords[k] for k in remaining
+                if not any(tuple(map(sub, coords[k], coords[g])) in rem for g in remaining)]
+        h, _ = solve(simp, (1,) * len(simp))
+        (h,) = cleared_rows([h])[1]
+        best = max(remaining, key=lambda k: (sum(map(mul, h, coords[k])), R.pos_roots[k][0]))
+        selected.append(R.pos_roots[best][0])
+        remaining = [k for k in remaining if strongly_orthogonal(k, best)]
+    return tuple(selected), vscale(Q(1, 2), lincomb((1,) * len(selected), selected))
 
 
 # -- serialization ---------------------------------------------------------

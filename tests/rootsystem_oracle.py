@@ -1,0 +1,240 @@
+"""Fraction reference for the integer core of weylgrowth.rootsystem.
+
+The package builds root systems in integer simple-root coordinates over
+one Cartan matrix; tests keep the ambient Fraction paths it replaced: the
+root-string closure on Fraction vectors, one solve_unique per root for the
+heights, the W-invariance check by reflecting Fraction vectors and by
+s^T G s = G, the cascade with one solve per root, and w0 as the product of
+simple-reflection matrices along the dominant descent.  Input validation
+runs in the package's order (independence and pairings before the
+closure), and vectors in messages are printed with vec_to_json.
+"""
+
+from fractions import Fraction as Q
+
+from weylgrowth.errors import InputError, InternalError
+from weylgrowth.rational import (dot, identity, is_positive_definite, mat, matmul,
+                                 matvec, rank as mat_rank, solve, solve_unique,
+                                 transpose, vadd, vscale, vsub, vzero)
+from weylgrowth.rootsystem import (_preset_data, dominant_representative,
+                                   fundamental_weights, json_rows,
+                                   vec_from_json, vec_to_json)
+
+
+def _ip(G, x, y):
+    return dot(x, matvec(G, y))
+
+
+def _reflect(G, x, a):
+    return vsub(x, vscale(2 * _ip(G, x, a) / _ip(G, a, a), a))
+
+
+def cartan(simple, G):
+    """A[i][j] = 2<a_i, a_j>/<a_j, a_j> in Fractions."""
+    return tuple(tuple(2 * _ip(G, b, a) / _ip(G, a, a) for a in simple) for b in simple)
+
+
+def _check_simple(simple, G):
+    n = len(simple)
+    if mat_rank(simple) != n:
+        raise InputError("simple roots are not linearly independent")
+    for i in range(n):
+        for j in range(i + 1, n):
+            g = _ip(G, simple[i], simple[j])
+            if g > 0:
+                raise InputError(f"simple roots {i},{j} have positive inner product {g}")
+
+
+def positive_closure(simple, G):
+    """All positive roots as ambient Fraction vectors, by the root-string criterion."""
+
+    def pairing(b, a):
+        c = 2 * _ip(G, b, a) / _ip(G, a, a)
+        if c.denominator != 1:
+            raise InputError(f"non-crystallographic pair: 2<{vec_to_json(b)},{vec_to_json(a)}>"
+                             f"/<{vec_to_json(a)},{vec_to_json(a)}> = {c}")
+        return int(c)
+
+    roots = set(simple)
+    level = list(simple)
+    for _ in range(1000):
+        nxt = []
+        for b in level:
+            for a in simple:
+                p = 0
+                g = vsub(b, a)
+                while g in roots:
+                    p += 1
+                    g = vsub(g, a)
+                if p - pairing(b, a) > 0:
+                    s = vadd(b, a)
+                    if s not in roots:
+                        roots.add(s)
+                        nxt.append(s)
+        if not nxt:
+            return sorted(roots)
+        level = nxt
+    raise InputError("positive-root closure did not terminate; input is not a root system")
+
+
+def heights(simple, roots):
+    """{root: height}, one solve_unique per reduced root; 2*alpha gets twice alpha's."""
+    cols = transpose(mat(simple))
+    out = {}
+    reduced = [r for r in roots if vscale(Q(1, 2), r) not in roots]
+    for r in reduced:
+        c = solve_unique(cols, r)
+        if c is None or any(x.denominator != 1 or x < 0 for x in c):
+            raise InputError(f"{vec_to_json(r)} is not a nonnegative integer combination "
+                             "of the simple roots")
+        out[r] = sum(int(x) for x in c)
+    for r in roots:
+        if r not in out:
+            out[r] = 2 * out[vscale(Q(1, 2), r)]
+    return out
+
+
+def _custom_multiplicities(simple, G, pos, entries):
+    if not entries:
+        return {r: Q(1) for r in pos}
+    if not isinstance(entries, list):
+        raise InputError("multiplicities must be a list")
+    posset = set(pos)
+    assigned, extra = {}, {}
+    for e in entries:
+        if not isinstance(e, dict) or "root" not in e or "m" not in e:
+            raise InputError(f"multiplicity entry {e!r} needs 'root' and 'm'")
+        r = vec_from_json(e["root"], len(simple), f"multiplicity root {e['root']!r}")
+        (mval,) = vec_from_json([e["m"]], 1, f"multiplicity {e['m']!r}")
+        if mval <= 0:
+            raise InputError("multiplicities must be positive")
+        if r in posset:
+            target = assigned
+        elif vscale(Q(1, 2), r) in posset:
+            target = extra
+        else:
+            raise InputError(f"{vec_to_json(r)} is neither a positive root nor twice one")
+        if target.get(r, mval) != mval:
+            raise InputError(f"conflicting multiplicities for {vec_to_json(r)}")
+        target[r] = mval
+
+    def propagate(table, universe):
+        changed = True
+        while changed:
+            changed = False
+            for r in list(table):
+                for a in simple:
+                    img = _reflect(G, r, a)
+                    pimg = img if img in universe else tuple(-x for x in img)
+                    if pimg not in universe:
+                        continue
+                    if pimg in table:
+                        if table[pimg] != table[r]:
+                            raise InputError("multiplicity map is not W-invariant")
+                    else:
+                        table[pimg] = table[r]
+                        changed = True
+
+    propagate(assigned, posset)
+    missing = posset - set(assigned)
+    if missing:
+        raise InputError(f"multiplicity missing for roots "
+                         f"{[vec_to_json(r) for r in sorted(missing)]}")
+    if extra:
+        propagate(extra, {vscale(2, r) for r in posset})
+    assigned.update(extra)
+    return assigned
+
+
+def _validate_w_invariance(simple, G, ordered, label):
+    mult = {}
+    for r, m in ordered:
+        mult[r] = mult[tuple(-x for x in r)] = m
+    n = len(simple)
+    for a in simple:
+        for r, m in ordered:
+            img = _reflect(G, r, a)
+            if img not in mult:
+                raise InputError(f"{vec_to_json(img)} is not a root of {label}")
+            if mult[img] != m:
+                raise InputError("multiplicity map is not W-invariant")
+        aa = _ip(G, a, a)
+        ga = matvec(G, a)
+        s = tuple(tuple((Q(1) if i == j else Q(0)) - 2 * a[i] * ga[j] / aa
+                        for j in range(n)) for i in range(n))
+        if matmul(transpose(s), matmul(G, s)) != G:
+            raise InputError("inner product is not W-invariant")
+
+
+def build(spec):
+    """(simple, G, pos_roots, heights, label) as the Fraction build computes them."""
+    if isinstance(spec, str):
+        simple, G, mult_fn, label = _preset_data(spec)
+        _check_simple(simple, G)
+        cols = transpose(mat(simple))
+        pairs = {r: mult_fn(tuple(map(int, solve_unique(cols, r))))
+                 for r in positive_closure(simple, G)}
+    else:
+        if "preset" in spec:
+            return build(spec["preset"])
+        if "simple_roots" not in spec:
+            raise InputError("custom root system needs 'simple_roots'")
+        n = json_rows(spec["simple_roots"], "simple_roots")
+        simple = tuple(vec_from_json(r, n, f"simple root {r!r}") for r in spec["simple_roots"])
+        G = identity(n)
+        if spec.get("inner_product"):
+            json_rows(spec["inner_product"], "inner_product")
+            G = tuple(vec_from_json(r, n, f"inner_product row {r!r}")
+                      for r in spec["inner_product"])
+        if not is_positive_definite(G):
+            raise InputError("inner_product must be symmetric positive definite")
+        _check_simple(simple, G)
+        pos = positive_closure(simple, G)
+        pairs = _custom_multiplicities(simple, G, pos, spec.get("multiplicities"))
+        label = "custom"
+    hts = heights(simple, pairs)
+    ordered = tuple(sorted(pairs.items(), key=lambda kv: (hts[kv[0]], kv[0])))
+    _validate_w_invariance(simple, G, ordered, label)
+    return simple, G, ordered, hts, label
+
+
+def theta(R):
+    """(selected, Theta) by the cascade with one solve per root for sub-heights."""
+    allroots = R.root_set()
+
+    def strongly_orthogonal(b, g):
+        return (R.ip(b, g) == 0 and vadd(b, g) not in allroots
+                and vsub(b, g) not in allroots)
+
+    remaining = [r for r, _ in R.pos_roots]
+    selected = []
+    while remaining:
+        rem = set(remaining)
+        simp = [b for b in remaining
+                if not any(g != b and vsub(b, g) in rem for g in remaining)]
+        cols = transpose(mat(simp))
+
+        def sub_height(r, cols=cols):
+            c, _ = solve(cols, r)
+            return sum(c)
+
+        best = max(remaining, key=lambda r: (sub_height(r), r))
+        selected.append(best)
+        remaining = [b for b in remaining if strongly_orthogonal(b, best)]
+    t = vzero(R.rank)
+    for r in selected:
+        t = vadd(t, r)
+    return tuple(selected), vscale(Q(1, 2), t)
+
+
+def iota(R):
+    """-w0 on covector coordinates, w0 the group element of the dominant
+    descent of -(sum of the fundamental weights)."""
+    lam = vzero(R.rank)
+    for w in fundamental_weights(R):
+        lam = vsub(lam, w)
+    _, w = dominant_representative(R, lam)
+    pos = {r for r, _ in R.pos_roots}
+    if {matvec(w, r) for r in pos} != {tuple(-c for c in r) for r in pos}:
+        raise InternalError("longest element search failed: w0(pos) != -pos")
+    return tuple(tuple(-c for c in row) for row in w)

@@ -6,7 +6,10 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -121,6 +124,25 @@ def test_growth_solve_mu_list_from_file(capsys, b2_models, tmp_path):
     assert code == 0
     rep = json.loads(out)
     assert [row["mu"] for row in rep["delta_prime_mu"]] == [[1, 0], [1, 1]]
+
+
+@pytest.mark.parametrize("simple", [[[1, 0], [0, 0]], [[0]]])
+def test_growth_solve_zero_simple_root_exits_2(tmp_path, simple):
+    # a zero simple root made the positive closure loop forever; the
+    # timeout turns a regression into a failure instead of a hang
+    n = len(simple)
+    model = tmp_path / "zero.json"
+    model.write_text(json.dumps({"root_system": {"simple_roots": simple},
+                                 "cone": {"generators": [[1] * n]},
+                                 "pieces": [[1] * n]}))
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "weylgrowth.cli", "growth-solve", str(model)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "simple roots are not linearly independent" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_growth_solve_error_codes(capsys, tmp_path, b2_models):

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from weylgrowth import rootsystem
+import rootsystem_oracle as oracle
+from weylgrowth import cli, rootsystem
 from weylgrowth.errors import CapExceeded, InputError
-from weylgrowth.rational import dot, identity, is_zero, matvec, vec, vscale, vzero
+from weylgrowth.rational import dot, identity, is_zero, lincomb, matvec, vec, vscale, vzero
 from weylgrowth.rootsystem import (
     apply_iota,
     build_root_system,
@@ -278,3 +279,78 @@ def test_json_roundtrip():
                             "inner_product": obj["inner_product"]})
     assert R2.pos_roots == R.pos_roots
     assert build_root_system({"preset": "b3"}).label == "b3"
+
+
+B2_MULT3 = {"simple_roots": [[1, -1], [0, 1]],
+            "multiplicities": [{"root": [1, -1], "m": 1}, {"root": [0, 1], "m": 3}]}
+BC1 = {"simple_roots": [[1]], "multiplicities": [{"root": [1], "m": 2}, {"root": [2], "m": 1}]}
+ORACLE_SYSTEMS = (
+    [f"a{n}" for n in range(1, 10)] + [f"b{n}" for n in range(2, 9)]
+    + [f"c{n}" for n in range(2, 7)] + [f"d{n}" for n in range(2, 9)]
+    + ["e6", "e7", "e8", "f4", "g2", "sl(3,r)", "sl(4,c)", "sl(5,h)", "so(2,3)",
+       "so(2,7)", "so(3,5)", "so(4,7)", "so(4,4)",
+       pytest.param({"simple_roots": [[1]]}, id="custom-a1"),
+       pytest.param(BC1, id="custom-bc1"), pytest.param(B2_MULT3, id="custom-b2-m3")])
+
+
+@pytest.mark.parametrize("spec", ORACLE_SYSTEMS)
+def test_integer_core_matches_fraction_oracle(spec):
+    R = build_root_system(spec)
+    simple, G, pos_roots, heights, label = oracle.build(spec)
+    assert R.label == label
+    assert R.cartan == oracle.cartan(simple, G)
+    assert R.pos_roots == pos_roots
+    assert [lincomb(c, simple) for c in R.coords] == [r for r, _ in pos_roots]
+    assert {r: sum(c) for (r, _), c in zip(R.pos_roots, R.coords)} == heights
+    assert strongly_orthogonal_theta(R) == oracle.theta(R)
+    assert opposition_involution(R) == oracle.iota(R)
+
+
+BAD_SPECS = {
+    "unknown-preset": "z9",
+    "dependent": {"simple_roots": [[1, 0], [2, 0]]},
+    "not-definite": {"simple_roots": [[1, 0], [0, 1]], "inner_product": [[1, 2], [2, 1]]},
+    "positive-pairing": {"simple_roots": [[1, 0], [1, 1]]},
+    "non-crystallographic": {"simple_roots": [[1, 0], ["-1/3", 1]]},
+    "zero-root-rank2": {"simple_roots": [[1, 0], [0, 0]]},
+    "zero-root-rank1": {"simple_roots": [[0]]},
+    "mult-not-a-root": {"simple_roots": [[1]], "multiplicities": [{"root": [3], "m": 1}]},
+    "mult-conflict": {"simple_roots": [[1]],
+                      "multiplicities": [{"root": [1], "m": 1}, {"root": [1], "m": 2}]},
+    "mult-missing": {"simple_roots": [[1, -1], [0, 1]],
+                     "multiplicities": [{"root": [1, 0], "m": 2}]},
+    "mult-not-invariant": {"simple_roots": [[1, -1], [0, 1]],
+                           "multiplicities": [{"root": [1, -1], "m": 1}, {"root": [1, 1], "m": 2},
+                                              {"root": [1, 0], "m": 3}, {"root": [0, 1], "m": 3}]},
+}
+
+
+@pytest.mark.parametrize("spec", BAD_SPECS.values(), ids=BAD_SPECS.keys())
+def test_bad_input_messages_match_oracle(spec):
+    with pytest.raises(InputError) as want:
+        oracle.build(spec)
+    with pytest.raises(InputError) as got:
+        build_root_system(spec)
+    assert str(got.value) == str(want.value)
+    assert "Fraction(" not in str(got.value)
+
+
+def test_zero_simple_root_is_rejected():
+    # b - 0 = b, so the closure's root-string loop never ended
+    for simple in ([[1, 0], [0, 0]], [[0]]):
+        with pytest.raises(InputError, match="not linearly independent"):
+            build_root_system({"simple_roots": simple})
+
+
+def test_bounds_runs_the_cascade_once(monkeypatch):
+    # one solve per cascade step, and bound_wall_avoided reads the memoised cascade
+    steps = len(strongly_orthogonal_theta(build_root_system("f4"))[0])
+    calls = []
+    real = rootsystem.solve
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(rootsystem, "solve", counted)
+    assert cli.main(["bounds", "--preset", "f4"]) == 0
+    assert len(calls) == steps == 4
