@@ -8,6 +8,7 @@ command line flags win over it.
 """
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -184,6 +185,8 @@ def cmd_figure(args, cfg) -> int:
     if name == "so2n":
         if args.n is None:
             raise InputError("--preset so2n needs --n")
+        if args.n < 2:
+            raise InputError("--n must be at least 2")
         name = f"so(2,{args.n})"
     geom = figure_geometry(name)
     svg = figure_svg(geom)
@@ -279,6 +282,7 @@ def cmd_orbit(args, cfg) -> int:
 # -- wiring -----------------------------------------------------------------
 
 
+@functools.cache  # built once per process; parse_args gives a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
     # SUPPRESS keeps a subcommand's unset copy of a shared flag from
     # clobbering a value given before the subcommand name

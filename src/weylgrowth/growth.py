@@ -32,6 +32,7 @@ from .rational import (
     matvec,
     primitive,
     to_float,
+    transpose,
     vadd,
     vec,
     vec_add_scaled,
@@ -41,13 +42,12 @@ from .rational import (
 from .rootsystem import (
     apply_iota,
     build_root_system,
-    fundamental_weights,
     iota_permutation,
     memo,
     opposition_involution,
     rho,
     vec_from_json,
-    vector_action,
+    wall_directions,
 )
 
 NEG_INF = float("-inf")
@@ -66,8 +66,9 @@ class GrowthIndicator:
 
 @memo("iota_vector_matrix")
 def iota_vector_matrix(R):
-    """The opposition involution acting on the vector side."""
-    return vector_action(R, opposition_involution(R))
+    """The opposition involution on the vector side: G iota G^-1 = iota^T,
+    since iota is an involution and an isometry (iota^T G iota = G)."""
+    return transpose(opposition_involution(R))
 
 
 def _with_both_reps(C: PolyCone, rank) -> PolyCone:
@@ -293,17 +294,9 @@ def tent_check(G: GrowthIndicator, mu_samples, slack=Q(0), seed=0) -> dict:
 
 
 def dominant_iota_classes(R):
-    """Primitive sums w + iota(w) of fundamental weights, one per orbit."""
-    perm = iota_permutation(R)
-    ws = fundamental_weights(R)
-    out = []
-    seen = set()
-    for i, j in sorted(perm.items()):
-        if i in seen:
-            continue
-        seen.update({i, j})
-        out.append(primitive(vec_add_scaled(ws[i], Q(1), ws[j])))
-    return tuple(out)
+    """Primitive sums w + iota(w) of fundamental weights, one per orbit {i, sigma(i)}."""
+    sigma = iota_permutation(R)
+    return tuple(primitive(u) for i, u in enumerate(wall_directions(R)) if i <= sigma[i])
 
 
 def random_growth_model(R, rng) -> GrowthIndicator:

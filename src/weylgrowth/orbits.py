@@ -275,6 +275,8 @@ def empirical_limit_cone(S: CartanSample, radius_cut: float):
     points on the slice <rho, d> = 1 are vertices of the slice points'
     convex hull (see _extreme_directions).
     """
+    if not math.isfinite(radius_cut):
+        raise InputError(f"the radius cut must be finite, got {radius_cut}")
     dirs = []
     for p, _ in S.points:
         r = _norm(p)

@@ -9,8 +9,11 @@ the identification covector -> vector is mu -> G mu.
 One integer core serves the construction: the Cartan matrix
 A[i][j] = 2<a_i, a_j>/<a_j, a_j>, computed once in ints, and each root's
 integer coordinates in the simple-root basis.  The positive closure, heights,
-W-invariance checks, strongly orthogonal cascade and longest element w0 run on
-these tuples; ambient Fraction vectors are formed once, at the end of a build.
+W-invariance checks, strongly orthogonal cascade, Weyl-group elements and -w0
+run on these tuples; ambient Fraction vectors are formed once, at the end of a
+build.  A group element is the tuple of its images of the simple roots, the
+columns of an integer matrix M; a caller that needs a covector matrix gets
+P M P^-1, for P the matrix whose columns are the simple roots.
 """
 
 from __future__ import annotations
@@ -435,13 +438,8 @@ def rho(R: RootSystem) -> Vec:
 
 @memo("fundamental_weights")
 def fundamental_weights(R: RootSystem) -> tuple[Vec, ...]:
-    rows = mat([matvec(R.inner_product, b) for b in R.simple_roots])
-    inv = inverse(rows)
-    cols = transpose(inv)
-    out = []
-    for i, b in enumerate(R.simple_roots):
-        out.append(vscale(R.ip(b, b) / 2, cols[i]))
-    return tuple(out)
+    cols = transpose(inverse([matvec(R.inner_product, b) for b in R.simple_roots]))
+    return tuple(vscale(R.ip(b, b) / 2, c) for b, c in zip(R.simple_roots, cols))
 
 
 @memo("gram_images")
@@ -454,46 +452,6 @@ def gram_images(R: RootSystem) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
     G = R.inner_product
     return (tuple(matvec(G, a) for a in R.simple_roots),
             tuple(matvec(G, w) for w in fundamental_weights(R)))
-
-
-def reflection_matrix(R: RootSystem, alpha: Vec) -> Mat:
-    """Matrix of s_alpha on covector coordinates."""
-    aa = R.ip(alpha, alpha)
-    ga = matvec(R.inner_product, alpha)
-    n = R.rank
-    return tuple(tuple((Q(1) if i == j else Q(0)) - 2 * alpha[i] * ga[j] / aa
-                       for j in range(n)) for i in range(n))
-
-
-@memo("simple_reflections")
-def simple_reflections(R: RootSystem) -> tuple[Mat, ...]:
-    return tuple(reflection_matrix(R, a) for a in R.simple_roots)
-
-
-@memo("weyl_group")
-def weyl_group(R: RootSystem, cap: int = WEYL_CAP_DEFAULT) -> tuple[Mat, ...]:
-    """Every element of W as a matrix on covector coordinates."""
-    gens = simple_reflections(R)
-    ident = identity(R.rank)
-    known = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                wg = matmul(g, w)
-                if wg not in known:
-                    known.add(wg)
-                    nxt.append(wg)
-                    if len(known) > cap:
-                        raise CapExceeded("Weyl group enumeration", f"> {cap}", cap)
-        frontier = nxt
-    return tuple(sorted(known))
-
-
-def vector_action(R: RootSystem, w: Mat) -> Mat:
-    """Matrix of w on vector coordinates, given its covector matrix."""
-    return matmul(R.inner_product, matmul(w, R.gram_inv))
 
 
 @memo("descent_data")
@@ -535,52 +493,92 @@ def dominant_descent(R: RootSystem, lam: Vec) -> tuple[Vec, tuple[int, ...]]:
     return vsub(x, lincomb(coeffs, R.simple_roots)), tuple(word)
 
 
+def _word_images(R: RootSystem, word) -> tuple:
+    """The element s_{word[-1]} ... s_{word[0]} of W on the integer core: the
+    simple-root coordinates of its images of a_1, ..., a_n."""
+    cols = _descent_data(R)[0]
+    images = tuple(tuple(int(i == j) for i in range(R.rank)) for j in range(R.rank))
+    for i in word:
+        images = tuple(_reflect(cols, c, i) for c in images)
+    return images
+
+
+@memo("simple_roots_inverse")
+def _simple_roots_inverse(R: RootSystem) -> Mat:
+    """P^-1, for P the matrix whose columns are the simple roots."""
+    return inverse(transpose(R.simple_roots))
+
+
+def _covector_matrix(R: RootSystem, images) -> Mat:
+    """P M P^-1, the covector matrix of the element with simple-root images
+    images, the columns of M."""
+    P = transpose(R.simple_roots)
+    return matmul(matmul(P, transpose(images)), _simple_roots_inverse(R))
+
+
+@memo("weyl_group")
+def weyl_group(R: RootSystem, cap: int = WEYL_CAP_DEFAULT) -> tuple[Mat, ...]:
+    """Every element of W as a matrix on covector coordinates, sorted; the
+    breadth-first search over simple reflections runs on the integer core."""
+    cols = _descent_data(R)[0]
+    frontier = [_word_images(R, ())]
+    known = set(frontier)
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for j in range(R.rank):
+                wg = tuple(_reflect(cols, c, j) for c in w)
+                if wg not in known:
+                    known.add(wg)
+                    nxt.append(wg)
+                    if len(known) > cap:
+                        raise CapExceeded("Weyl group enumeration", f"> {cap}", cap)
+        frontier = nxt
+    return tuple(sorted(_covector_matrix(R, w) for w in known))
+
+
 def dominant_representative(R: RootSystem, lam: Vec) -> tuple[Vec, Mat]:
     """(lam+, w) with w lam = lam+ dominant: the descent with its group element."""
     x, word = dominant_descent(R, lam)
-    w = identity(R.rank)
-    gens = simple_reflections(R)
-    for i in word:
-        w = matmul(gens[i], w)
-    return x, w
+    return x, _covector_matrix(R, _word_images(R, word))
 
 
-@memo("opposition_involution")
-def opposition_involution(R: RootSystem) -> Mat:
-    """iota = -w0 as a matrix on covector coordinates; w0 carries the
-    antidominant -(sum of the fundamental weights) into the chamber.
-
-    The descent's word acts on simple-root coordinates, where -w0 is an
-    integer matrix Pi; with P the matrix whose columns are the simple
-    roots, iota = P Pi P^-1.
-    """
+@memo("minus_w0")
+def _minus_w0(R: RootSystem) -> tuple:
+    """-w0 on the integer core, as the columns Pi e_j; w0 carries the
+    antidominant -(sum of the fundamental weights) into the chamber."""
     lam = tuple(-sum(x) for x in zip(*fundamental_weights(R)))
-    _, word = dominant_descent(R, lam)
-    cols, _ = _descent_data(R)
-    images = [tuple(int(i == j) for i in range(R.rank)) for j in range(R.rank)]
-    for i in word:
-        images = [_reflect(cols, c, i) for c in images]
+    images = _word_images(R, dominant_descent(R, lam)[1])
     w0 = tuple(zip(*images))
     if ({tuple(sum(map(mul, row, c)) for row in w0) for c in R.coords}
             != {_neg(c) for c in R.coords}):
         raise InternalError("longest element search failed: w0(pos) != -pos")
-    P = transpose(R.simple_roots)
-    return matmul(matmul(P, tuple(map(_neg, w0))), inverse(P))
+    return tuple(map(_neg, images))
+
+
+@memo("opposition_involution")
+def opposition_involution(R: RootSystem) -> Mat:
+    """iota = -w0 as a matrix on covector coordinates: P Pi P^-1."""
+    return _covector_matrix(R, _minus_w0(R))
 
 
 @memo("iota_permutation")
 def iota_permutation(R: RootSystem) -> MappingProxyType:
-    """The permutation of simple-root indices induced by the opposition
-    involution, as a read-only mapping i -> j."""
-    iota = opposition_involution(R)
-    out = {}
-    for i, a in enumerate(R.simple_roots):
-        img = matvec(iota, a)
-        js = [j for j, b in enumerate(R.simple_roots) if b == img]
-        if len(js) != 1:
-            raise InternalError("opposition involution does not permute the simple roots")
-        out[i] = js[0]
-    return MappingProxyType(out)
+    """The permutation sigma with iota(a_i) = a_sigma(i), as a read-only
+    mapping i -> sigma(i), read off Pi = -w0: Pi e_j = e_sigma(j)."""
+    units = {e: j for j, e in enumerate(_word_images(R, ()))}
+    sigma = [units.get(c, -1) for c in _minus_w0(R)]
+    if sorted(sigma) != list(range(R.rank)):
+        raise InternalError("-w0 is not a permutation matrix on the simple roots")
+    return MappingProxyType(dict(enumerate(sigma)))
+
+
+@memo("wall_directions")
+def wall_directions(R: RootSystem) -> tuple[Vec, ...]:
+    """u_i = w_i + iota(w_i) = w_i + w_sigma(i) per simple root a_i: the
+    dominant invariant direction attached to the wall ker a_i."""
+    ws, sigma = fundamental_weights(R), iota_permutation(R)
+    return tuple(vadd(w, ws[sigma[i]]) for i, w in enumerate(ws))
 
 
 def apply_iota(R: RootSystem, x: Vec) -> Vec:

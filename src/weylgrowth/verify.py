@@ -27,6 +27,7 @@ from .rational import (
     primitive,
     rank as mat_rank,
     to_float,
+    vadd,
     vec,
     vec_add_scaled,
     vscale,
@@ -34,7 +35,6 @@ from .rational import (
 )
 from .rootsystem import (
     RootSystem,
-    apply_iota,
     build_root_system,
     fundamental_weights,
     gram_images,
@@ -42,6 +42,7 @@ from .rootsystem import (
     memo,
     rho,
     strongly_orthogonal_theta,
+    wall_directions,
 )
 from .cones import avoids_facet, chamber_rays, closure, poly_cone
 from .growth import (
@@ -72,9 +73,7 @@ def _simple_index(R: RootSystem, alpha) -> int:
 
 def invariant_direction(R: RootSystem, alpha):
     """w_a + iota(w_a): the dominant invariant direction attached to a wall."""
-    i = _simple_index(R, alpha)
-    ws = fundamental_weights(R)
-    return vec_add_scaled(ws[i], Q(1), ws[iota_permutation(R)[i]])
+    return wall_directions(R)[_simple_index(R, alpha)]
 
 
 # -- unconditional lemma checks ---------------------------------------------
@@ -145,20 +144,17 @@ def _covector_ints(R: RootSystem, mu) -> tuple[tuple, int, list]:
 def _keylemma_walls(R: RootSystem) -> tuple:
     """Per simple root a_i: (u = w_i + iota(w_i), (<u, w_b> for every b))."""
     gws = gram_images(R)[1]
-    out = []
-    for a in R.simple_roots:
-        u = invariant_direction(R, a)
-        out.append((u, tuple(dot(u, gw) for gw in gws)))
-    return tuple(out)
+    return tuple((u, tuple(dot(u, gw) for gw in gws)) for u in wall_directions(R))
 
 
 @memo("posofweight_walls")
 def _posofweight_walls(R: RootSystem) -> tuple:
-    """Per simple root a_i: (<a_i + iota(a_i), w_i>, <a_i + iota(a_i), a_i>)."""
+    """Per simple root a_i: (<v, w_i>, <v, a_i>) for v = a_i + iota(a_i) = a_i + a_sigma(i)."""
     gas, gws = gram_images(R)
+    sigma = iota_permutation(R)
     out = []
     for i, a in enumerate(R.simple_roots):
-        aia = vec_add_scaled(a, Q(1), apply_iota(R, a))
+        aia = vadd(a, R.simple_roots[sigma[i]])
         out.append((dot(aia, gws[i]), dot(aia, gas[i])))
     return tuple(out)
 
@@ -506,15 +502,10 @@ def check_psilinear(G, samples: int = 200, seed: int = 0,
     R = G.root_system
     cd = critical_data(G)
     mu = vec(cd.mu_gamma_exact)
-    perm = iota_permutation(R)
     idx = [i for i, ga in enumerate(gram_images(R)[0]) if dot(mu, ga) > 0]
-    gens = []
-    seen = set()
-    for i in idx:
-        if i in seen:
-            continue
-        seen.update({i, perm[i]})
-        gens.append(R.covector_to_vector(invariant_direction(R, R.simple_roots[i])))
+    # u_i = u_sigma(i): one generator per orbit {i, sigma(i)}, first seen first
+    us = wall_directions(R)
+    gens = [R.covector_to_vector(u) for u in dict.fromkeys(us[i] for i in idx)]
 
     if is_zero(mu):
         tent = not modified_cone_nonempty(G)
@@ -699,19 +690,9 @@ def _batch_positivity(R, samples, seed):
 
 
 def _batch_twowalls(R, samples, seed):
-    perm = iota_permutation(R)
-    failures = []
-    pairs = 0
-    for i in range(R.rank):
-        for j in range(R.rank):
-            if i == j or perm[i] == j:
-                continue
-            pairs += 1
-            ua = invariant_direction(R, R.simple_roots[i])
-            ub = invariant_direction(R, R.simple_roots[j])
-            if collinear(ua, ub):
-                failures.append({"pair": [i, j]})
-    return pairs, failures
+    perm, us = iota_permutation(R), wall_directions(R)
+    pairs = [(i, j) for i in range(R.rank) for j in range(R.rank) if i != j and perm[i] != j]
+    return len(pairs), [{"pair": [i, j]} for i, j in pairs if collinear(us[i], us[j])]
 
 
 _LEMMA_RUNNERS = {

@@ -1,22 +1,28 @@
 """Fraction reference for the integer core of weylgrowth.rootsystem.
 
-The package builds root systems in integer simple-root coordinates over
-one Cartan matrix; tests keep the ambient Fraction paths it replaced: the
-root-string closure on Fraction vectors, one solve_unique per root for the
-heights, the W-invariance check by reflecting Fraction vectors and by
-s^T G s = G, the cascade with one solve per root, and w0 as the product of
-simple-reflection matrices along the dominant descent.  Input validation
-runs in the package's order (independence and pairings before the
-closure), and vectors in messages are printed with vec_to_json.
+The package builds root systems, Weyl-group elements and -w0 in integer
+simple-root coordinates over one Cartan matrix; tests keep the ambient
+Fraction paths it replaced: the root-string closure on Fraction vectors,
+one solve_unique per root for the heights, the W-invariance check by
+reflecting Fraction vectors and by s^T G s = G, the cascade with one solve
+per root, W by a breadth-first search over simple-reflection matrices on
+covector coordinates, w0 and each dominant_representative element as the
+product of those matrices along the dominant descent, sigma by applying
+iota to each simple root and searching, iota on vectors as G iota G^-1,
+and the wall directions and invariant classes from the fundamental
+weights and that sigma.  Input validation runs in the package's order
+(independence and pairings before the closure), and vectors in messages
+are printed with vec_to_json.
 """
 
 from fractions import Fraction as Q
 
 from weylgrowth.errors import InputError, InternalError
 from weylgrowth.rational import (dot, identity, is_positive_definite, mat, matmul,
-                                 matvec, rank as mat_rank, solve, solve_unique,
-                                 transpose, vadd, vscale, vsub, vzero)
-from weylgrowth.rootsystem import (_preset_data, dominant_representative,
+                                 matvec, primitive, rank as mat_rank, solve,
+                                 solve_unique, transpose, vadd, vec_add_scaled,
+                                 vscale, vsub, vzero)
+from weylgrowth.rootsystem import (_preset_data, dominant_descent,
                                    fundamental_weights, json_rows,
                                    vec_from_json, vec_to_json)
 
@@ -238,3 +244,86 @@ def iota(R):
     if {matvec(w, r) for r in pos} != {tuple(-c for c in r) for r in pos}:
         raise InternalError("longest element search failed: w0(pos) != -pos")
     return tuple(tuple(-c for c in row) for row in w)
+
+
+def reflection_matrix(R, alpha):
+    """Matrix of s_alpha on covector coordinates."""
+    aa = R.ip(alpha, alpha)
+    ga = matvec(R.inner_product, alpha)
+    n = R.rank
+    return tuple(tuple((Q(1) if i == j else Q(0)) - 2 * alpha[i] * ga[j] / aa
+                       for j in range(n)) for i in range(n))
+
+
+def simple_reflections(R):
+    return tuple(reflection_matrix(R, a) for a in R.simple_roots)
+
+
+def weyl_group(R):
+    """Every element of W as a matrix on covector coordinates, sorted."""
+    gens = simple_reflections(R)
+    ident = identity(R.rank)
+    known = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                wg = matmul(g, w)
+                if wg not in known:
+                    known.add(wg)
+                    nxt.append(wg)
+        frontier = nxt
+    return tuple(sorted(known))
+
+
+def dominant_representative(R, lam):
+    """(lam+, w): the descent's word multiplied out in reflection matrices."""
+    x, word = dominant_descent(R, lam)
+    w = identity(R.rank)
+    gens = simple_reflections(R)
+    for i in word:
+        w = matmul(gens[i], w)
+    return x, w
+
+
+def iota_permutation(R):
+    """{i: j} with iota(a_i) = a_j, by applying iota and searching."""
+    io = iota(R)
+    out = {}
+    for i, a in enumerate(R.simple_roots):
+        img = matvec(io, a)
+        js = [j for j, b in enumerate(R.simple_roots) if b == img]
+        if len(js) != 1:
+            raise InternalError("opposition involution does not permute the simple roots")
+        out[i] = js[0]
+    return out
+
+
+def vector_action(R, w):
+    """Matrix of w on vector coordinates, given its covector matrix."""
+    return matmul(R.inner_product, matmul(w, R.gram_inv))
+
+
+def iota_vector_matrix(R):
+    return vector_action(R, iota(R))
+
+
+def wall_directions(R):
+    """w_i + iota(w_i) = w_i + w_sigma(i) per simple root."""
+    ws, perm = fundamental_weights(R), iota_permutation(R)
+    return tuple(vec_add_scaled(ws[i], Q(1), ws[perm[i]]) for i in range(R.rank))
+
+
+def dominant_iota_classes(R):
+    """Primitive sums w + iota(w), one per orbit, the smaller index first."""
+    perm = iota_permutation(R)
+    ws = fundamental_weights(R)
+    out = []
+    seen = set()
+    for i, j in sorted(perm.items()):
+        if i in seen:
+            continue
+        seen.update({i, j})
+        out.append(primitive(vec_add_scaled(ws[i], Q(1), ws[j])))
+    return tuple(out)

@@ -270,6 +270,35 @@ def test_figure_deterministic_and_guarded(capsys, tmp_path):
     assert code == 2 and "--n" in err
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_figure_n_below_2_exits_2(capsys, tmp_path, n):
+    out_path = tmp_path / "f.svg"
+    code, out, err = run(capsys, ["figure", "--n", n, "-o", str(out_path)])
+    assert (code, out) == (2, "")
+    assert err == "input error: --n must be at least 2\n"
+    assert not out_path.exists()
+
+
+def test_figure_n_2_writes_so22(capsys, tmp_path):
+    out_path = tmp_path / "f.svg"
+    code, out, _ = run(capsys, ["figure", "--n", "2", "-o", str(out_path)])
+    assert code == 0 and "wrote" in out
+    assert out_path.read_text().startswith("<svg")
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+    cli.build_parser.cache_clear()
+    code, out, _ = run(capsys, ["--seed", "7", "check", "--suite", "lemmas",
+                                "--samples", "1"])
+    assert code == 0 and json.loads(out)["seed"] == 7
+    # a fresh Namespace per call: the earlier --seed does not carry over
+    code, out, _ = run(capsys, ["check", "--suite", "lemmas", "--samples", "1"])
+    assert code == 0 and json.loads(out)["seed"] == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_check_lemmas_suite(capsys):
     code, out, _ = run(capsys, ["--seed", "7", "check", "--suite", "lemmas",
                                 "--samples", "40"])
@@ -424,6 +453,15 @@ def test_orbit_bad_mu(capsys, tmp_path):
 CYCLIC_SPEC = {"ambient": "sl3r",
                "generators": [[[2.0, 0, 0], [0, 1, 0], [0, 0, 0.5]]],
                "max_word_length": 4}
+
+
+@pytest.mark.parametrize("cut", ["nan", "inf", "-inf"])
+def test_orbit_non_finite_radius_cut_exits_2(capsys, tmp_path, cut):
+    gens = tmp_path / "cyc.json"
+    gens.write_text(json.dumps(CYCLIC_SPEC))
+    code, out, err = run(capsys, ["orbit", str(gens), f"--radius-cut={cut}"])
+    assert (code, out) == (2, "")
+    assert err == f"input error: the radius cut must be finite, got {float(cut)}\n"
 
 
 @pytest.mark.parametrize("change", [

@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 
 import rootsystem_oracle as oracle
+from rootsystem_oracle import vector_action
 from weylgrowth import cli, rootsystem
-from weylgrowth.errors import CapExceeded, InputError
+from weylgrowth.errors import CapExceeded, InputError, InternalError
+from weylgrowth.growth import dominant_iota_classes, iota_vector_matrix
 from weylgrowth.rational import dot, identity, is_zero, lincomb, matvec, vec, vscale, vzero
 from weylgrowth.rootsystem import (
     apply_iota,
@@ -20,7 +22,7 @@ from weylgrowth.rootsystem import (
     rho,
     root_system_to_json,
     strongly_orthogonal_theta,
-    vector_action,
+    wall_directions,
     weyl_group,
 )
 
@@ -139,6 +141,14 @@ def test_opposition_involution():
     assert perm == {0: 1, 1: 0}
     A1 = build_root_system({"simple_roots": [[1]]})
     assert opposition_involution(A1) == identity(1)
+
+
+@pytest.mark.parametrize("pi", [((1, 1), (0, 1)), ((1, 0), (1, 0))])
+def test_sigma_guard_rejects_a_non_permutation(monkeypatch, pi):
+    R = build_root_system("a2")
+    monkeypatch.setattr(rootsystem, "_minus_w0", lambda R: pi)
+    with pytest.raises(InternalError, match="not a permutation matrix"):
+        iota_permutation(R)
 
 
 def test_iota_is_involution_and_fixes_rho():
@@ -304,6 +314,16 @@ def test_integer_core_matches_fraction_oracle(spec):
     assert {r: sum(c) for (r, _), c in zip(R.pos_roots, R.coords)} == heights
     assert strongly_orthogonal_theta(R) == oracle.theta(R)
     assert opposition_involution(R) == oracle.iota(R)
+    assert iota_permutation(R) == oracle.iota_permutation(R)
+    assert iota_vector_matrix(R) == oracle.iota_vector_matrix(R)
+    assert wall_directions(R) == oracle.wall_directions(R)
+    assert dominant_iota_classes(R) == oracle.dominant_iota_classes(R)
+    if R.rank <= 4:  # |W| <= 1152, f4 included
+        assert weyl_group(R) == oracle.weyl_group(R)
+    rng = random.Random(R.rank)
+    for _ in range(8):
+        lam = vec([Q(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(R.rank)])
+        assert dominant_representative(R, lam) == oracle.dominant_representative(R, lam)
 
 
 BAD_SPECS = {
