@@ -182,6 +182,8 @@ def cmd_bounds(args, cfg) -> int:
 
 def cmd_figure(args, cfg) -> int:
     name = args.preset
+    if name != "so2n" and args.n is not None:
+        raise InputError("--n applies only to --preset so2n")
     if name == "so2n":
         if args.n is None:
             raise InputError("--preset so2n needs --n")

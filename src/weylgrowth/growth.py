@@ -27,10 +27,13 @@ from .polyhedra import (
 from .rational import (
     Q,
     dot,
+    idot,
     is_zero,
     lincomb,
     matvec,
+    pairing_table,
     primitive,
+    rat,
     to_float,
     transpose,
     vadd,
@@ -256,39 +259,65 @@ def delta_prime(G: GrowthIndicator, mu, modified=True) -> DeltaPrime:
                       witness=vscale(1 / m, w))
 
 
+# a multiple of every denominator tent_check draws (1 to 3)
+_TENT_SCALE = 6
+
+
 def tent_check(G: GrowthIndicator, mu_samples, slack=Q(0), seed=0) -> dict:
     """Verify psi'(v) <= delta'_mu mu(v) + slack across the cone.
 
     The points are the cone generators and 200 seeded cone points. True
     for every model by construction of delta'; a failure means a solver
     bug. Infinite exponents pass vacuously. Both sides are exact, so the
-    default slack is 0.
+    default slack is 0; the slack is read by rat, a float through its repr.
+
+    Each point is an integer weight vector x over the generators, the
+    point being x . gens / _TENT_SCALE, and each functional read (the
+    halfspaces, the pieces minus rho, mu) is a cleared integer table of
+    its pairings with the generators. Both sides are then integer dots,
+    compared by cross-multiplication with positive scales; Fractions are
+    built only for a failure report.
     """
-    rng = random.Random(seed)
+    slack = rat(slack)
+    R = G.root_system
     gens = G.cone.generators
-    points = list(gens)
+    S = _TENT_SCALE
+    rng = random.Random(seed)
+    weights = [tuple(S if i == j else 0 for i in range(len(gens)))
+               for j in range(len(gens))]
     if gens:  # an empty cone draws nothing and bounds nothing
-        points += [lincomb([Q(rng.randint(0, 6), rng.randint(1, 3)) for _ in gens], gens)
-                   for _ in range(200)]
-    # psi' once per point; a point where it is -inf bounds nothing
-    lhs_at = [(v, lhs) for v in points if (lhs := evaluate_modified(G, v)) != NEG_INF]
+        weights += [tuple(rng.randint(0, 6) * (S // rng.randint(1, 3)) for _ in gens)
+                    for _ in range(200)]
+    _, hs = pairing_table(G.cone.halfspaces, gens)
+    r = rho(R)
+    D, mods = pairing_table([vsub(p, r) for p in G.pieces], gens)
+    # D * S * psi'(x) once per point; a point where it is -inf bounds nothing
+    lhs_at = [(x, min(idot(x, row) for row in mods)) for x in weights
+              if all(idot(x, h) >= 0 for h in hs)]
     checked = 0
     vacuous = 0
     failures = []
-    for mu in mu_samples:
-        mu = vec(mu)
-        if any(dot(mu, g) < 0 for g in gens):
+    for k, mu in enumerate(mu_samples):
+        mu = vec_from_json(mu, R.rank, f"tent check mu {k}")
+        Dm, (mus,) = pairing_table([mu], gens)
+        if any(m < 0 for m in mus):
             raise InputError("tent check needs mu nonnegative on the cone")
         dp = delta_prime(G, mu)
         if dp.status == "infinite" or dp.value == NEG_INF:
             vacuous += 1
             continue
         checked += 1
-        for v, lhs in lhs_at:
-            if lhs > dp.value * dot(mu, v) + slack:
+        # lhs > delta' mu(v) + slack, times D S Dm and both denominators
+        d = dp.value
+        c_lhs = Dm * d.denominator * slack.denominator
+        c_mu = D * d.numerator * slack.denominator
+        c_0 = D * S * Dm * d.denominator * slack.numerator
+        for x, lhs in lhs_at:
+            if lhs * c_lhs > idot(x, mus) * c_mu + c_0:
+                v = lincomb([Q(w, S) for w in x], gens)
                 failures.append({"mu": to_float(mu), "v": to_float(v),
-                                 "lhs": float(lhs),
-                                 "rhs": float(dp.value * dot(mu, v))})
+                                 "lhs": float(evaluate_modified(G, v)),
+                                 "rhs": float(d * dot(mu, v))})
     return {"checked": checked, "vacuous": vacuous, "failures": failures,
             "passed": not failures}
 

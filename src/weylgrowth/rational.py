@@ -4,13 +4,15 @@ Vectors are tuples of Fraction, matrices are tuples of row tuples.  Everything
 here is exact; floats never enter except through the explicit to_float helpers.
 Inside, dot products and eliminations run on Python ints (numerators over a
 common denominator, fraction-free in the manner of Bareiss 1968); every scalar
-they return is a Fraction.
+they return is a Fraction.  The samplers instead take integer tables from
+cleared_rows and pairing_table and decide each sample with idot.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
 from math import gcd, lcm
+from operator import mul
 
 Vec = tuple
 Mat = tuple
@@ -131,6 +133,22 @@ def cleared_rows(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """
     D = lcm(*(x.denominator for row in rows for x in row))
     return D, tuple(tuple(x.numerator * (D // x.denominator) for x in row) for row in rows)
+
+
+def pairing_table(rows, cols) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D, D * (r . c for c in cols) for r in rows): the pairings of each
+    row with each column, cleared over one positive scale D for the table.
+
+    A point v = sum of x_j / s * cols[j], x integral, then pairs with rows[i]
+    as idot(x, table[i]) / (D * s): every sign, equality and comparison
+    between rows is decided on ints.
+    """
+    return cleared_rows([[dot(r, c) for c in cols] for r in rows])
+
+
+def idot(x, y) -> int:
+    """x . y for two integer rows."""
+    return sum(map(mul, x, y))
 
 
 def _primitive_ints(row: list[int]) -> list[int]:

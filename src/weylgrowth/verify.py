@@ -12,7 +12,6 @@ without ever asserting the conclusion on its own authority.
 
 import math
 import random
-from operator import mul
 
 from .errors import CheckFailure, InputError
 from .rational import (
@@ -20,10 +19,12 @@ from .rational import (
     cleared_rows,
     collinear,
     dot,
+    idot,
     inverse,
     is_zero,
     lincomb,
     nonneg_multiple_of,
+    pairing_table,
     primitive,
     rank as mat_rank,
     to_float,
@@ -50,7 +51,6 @@ from .growth import (
     POS_INF,
     delta_prime,
     dominant_iota_classes,
-    evaluate,
     modified_cone_nonempty,
     modified_limit_cone,
     recession_rays,
@@ -86,13 +86,9 @@ def invariant_direction(R: RootSystem, alpha):
 # are built only to report a failure.  check_keylemma and check_posofweight
 # are one-sample calls of the batch tests.
 
-# a multiple of every denominator the lemma batches draw (1 to 5), so a
+# a multiple of every denominator the sampled checks draw (1 to 5), so a
 # drawn coefficient times _DRAW_SCALE is an integer
 _DRAW_SCALE = 60
-
-
-def _idot(x, y) -> int:
-    return sum(map(mul, x, y))
 
 
 def _as_fractions(x, scale) -> tuple:
@@ -118,12 +114,12 @@ def _her_pairings(R: RootSystem, x) -> tuple[list, list]:
     weights, each family up to its own positive scale.
     """
     (_, gas), (_, gws), pairs = _pairing_ints(R)
-    pa = [_idot(x, g) for g in gas]
+    pa = [idot(x, g) for g in gas]
     if min(pa) < 0:
         raise InputError("precondition failure: covector is not dominant")
     # iota(w_i) = w_sigma(i) and iota is an isometric involution, so
     # <iota(mu), w_i> = <mu, w_sigma(i)>: mu is invariant iff those agree
-    pw = [_idot(x, g) for g in gws]
+    pw = [idot(x, g) for g in gws]
     if any(pw[i] != pw[j] for i, j in pairs):
         raise InputError("precondition failure: covector is not involution-invariant")
     return pa, pw
@@ -313,7 +309,7 @@ def check_rightangles(R: RootSystem, samples: int = 100, seed: int = 0) -> dict:
     for _ in range(samples):
         cv = _chamber_draw(rng, len(rays))
         cw = _chamber_draw(rng, len(rays))
-        if _idot(cv, [_idot(row, cw) for row in M]) <= 0:
+        if idot(cv, [idot(row, cw) for row in M]) <= 0:
             v, w = (lincomb(_as_fractions(c, _DRAW_SCALE), rays) for c in (cv, cw))
             failures.append({"v": [str(x) for x in v], "w": [str(x) for x in w]})
     return {"ray_certificate": True, "samples": samples, "failures": failures}
@@ -497,6 +493,11 @@ def check_psilinear(G, samples: int = 200, seed: int = 0,
     The inequality half (modified model at most mu everywhere on the
     cone) is certified exactly and unconditionally.  consistency=True
     turns equality failures into CheckFailure.
+
+    Each sample is an integer weight vector over the generators, and the
+    halfspaces, the pieces and mu + rho are cleared integer tables of
+    their pairings with the generators, so a sample is decided by integer
+    dots alone; no Fraction is built per sample.
     """
     _check_samples(samples)
     R = G.root_system
@@ -513,18 +514,21 @@ def check_psilinear(G, samples: int = 200, seed: int = 0,
         tent = delta_prime(G, mu).value <= 1
 
     rng = random.Random(seed)
-    rh = rho(R)
     taken = failures = outside = 0
     if gens:
+        # the pieces share one scale with mu + rho, so a point's values compare
+        _, hs = pairing_table(G.cone.halfspaces, gens)
+        _, (*pieces, linear) = pairing_table([*G.pieces, vadd(mu, rho(R))], gens)
         for _ in range(samples):
-            v = lincomb([Q(rng.randint(0, 9), rng.randint(1, 4)) for _ in gens], gens)
-            if is_zero(v):
+            x = [rng.randint(0, 9) * (_DRAW_SCALE // rng.randint(1, 4)) for _ in gens]
+            # the generators are wall directions of distinct orbits, hence
+            # independent: the point is zero iff its weights are
+            if not any(x):
                 continue
             taken += 1
-            val = evaluate(G, v)
-            if val == NEG_INF:
+            if any(idot(x, h) < 0 for h in hs):
                 outside += 1
-            elif val != dot(mu, v) + dot(rh, v):
+            elif min(idot(x, p) for p in pieces) != idot(x, linear):
                 failures += 1
     report = {
         "index_set": idx,
@@ -604,7 +608,7 @@ def _her_draws(R: RootSystem, samples: int, seed: int, wall_multiples: bool):
             c = [0 if rng.random() < 0.25
                  else rng.randint(0, 9) * (_DRAW_SCALE // rng.randint(1, 4))
                  for _ in range(n)]
-        yield [_idot(c, col) for col in cols]
+        yield [idot(c, col) for col in cols]
 
 
 def _lemma_failure(x, wall, error) -> dict:
@@ -676,8 +680,8 @@ def _batch_positivity(R, samples, seed):
         ds = [0] * k
         for p, v in zip(pos, d):
             ds[p] = v
-        c = [_idot(row, ds) for row in inv]
-        paired = [_idot(row, c) for row in gram]
+        c = [idot(row, ds) for row in inv]
+        paired = [idot(row, c) for row in gram]
         if min(paired) < 0:
             a = next(a for a, p in enumerate(pos) if paired[p] < 0)
             raise InputError(f"precondition failure: u pairs negatively with vector {a}")

@@ -1,23 +1,26 @@
-"""Per-sample Fraction oracles for the lemma batches in weylgrowth.verify.
+"""Per-sample Fraction oracles for the sampled checks in weylgrowth.
 
-These are the checks and seeded draws the batches replaced: every sample
-is built as a tuple of Fractions and every pairing is a rational dot.
-They read the wall data through the verify module, so a test that
-monkeypatches verify._keylemma_walls or verify._posofweight_walls patches
-the oracle too.
+These are the checks and seeded draws the integer-row paths replaced:
+the lemma batches of weylgrowth.verify, growth.tent_check and
+verify.check_psilinear. Every sample is built as a tuple of Fractions and
+every pairing is a rational dot. They read the wall data through the
+verify module and delta' through the growth module, so a test that
+monkeypatches verify._keylemma_walls, verify._posofweight_walls or
+growth.delta_prime patches the oracle too.
 """
 
 import random
 from fractions import Fraction as Q
 
-from weylgrowth import verify
+from weylgrowth import growth, verify
 from weylgrowth.cones import chamber_rays
+from weylgrowth.critical import critical_data
 from weylgrowth.errors import CheckFailure, InputError
 from weylgrowth.growth import dominant_iota_classes
-from weylgrowth.rational import (dot, identity, lincomb, mat, matvec,
+from weylgrowth.rational import (dot, identity, is_zero, lincomb, mat, matvec,
                                  nonneg_multiple_of, rank as mat_rank, solve,
-                                 solve_unique, vec, vscale)
-from weylgrowth.rootsystem import gram_images, iota_permutation
+                                 solve_unique, to_float, vec, vscale)
+from weylgrowth.rootsystem import gram_images, iota_permutation, rho, wall_directions
 
 
 def her_dominant(R, mu):
@@ -161,3 +164,74 @@ def positivity_draws(R, samples, seed):
         d = [Q(rng.randint(0, 7), rng.randint(1, 3)) for _ in range(k)]
         u = lincomb(solve_unique(gram_sel, d), vs)
         yield sel, d, lemma_positivity(vs, u, gram=R.inner_product)
+
+
+def tent_check(G, mu_samples, slack=Q(0), seed=0):
+    """growth.tent_check with each point a Fraction vector."""
+    rng = random.Random(seed)
+    gens = G.cone.generators
+    points = list(gens)
+    if gens:
+        points += [lincomb([Q(rng.randint(0, 6), rng.randint(1, 3)) for _ in gens], gens)
+                   for _ in range(200)]
+    lhs_at = [(v, lhs) for v in points
+              if (lhs := growth.evaluate_modified(G, v)) != growth.NEG_INF]
+    checked = 0
+    vacuous = 0
+    failures = []
+    for mu in mu_samples:
+        mu = vec(mu)
+        if any(dot(mu, g) < 0 for g in gens):
+            raise InputError("tent check needs mu nonnegative on the cone")
+        dp = growth.delta_prime(G, mu)
+        if dp.status == "infinite" or dp.value == growth.NEG_INF:
+            vacuous += 1
+            continue
+        checked += 1
+        for v, lhs in lhs_at:
+            if lhs > dp.value * dot(mu, v) + slack:
+                failures.append({"mu": to_float(mu), "v": to_float(v),
+                                 "lhs": float(lhs),
+                                 "rhs": float(dp.value * dot(mu, v))})
+    return {"checked": checked, "vacuous": vacuous, "failures": failures,
+            "passed": not failures}
+
+
+def check_psilinear(G, samples=200, seed=0, consistency=False):
+    """verify.check_psilinear with each sample a Fraction vector."""
+    verify._check_samples(samples)
+    R = G.root_system
+    cd = critical_data(G)
+    mu = vec(cd.mu_gamma_exact)
+    idx = [i for i, ga in enumerate(gram_images(R)[0]) if dot(mu, ga) > 0]
+    us = wall_directions(R)
+    gens = [R.covector_to_vector(u) for u in dict.fromkeys(us[i] for i in idx)]
+    if is_zero(mu):
+        tent = not growth.modified_cone_nonempty(G)
+    else:
+        tent = growth.delta_prime(G, mu).value <= 1
+    rng = random.Random(seed)
+    rh = rho(R)
+    taken = failures = outside = 0
+    if gens:
+        for _ in range(samples):
+            v = lincomb([Q(rng.randint(0, 9), rng.randint(1, 4)) for _ in gens], gens)
+            if is_zero(v):
+                continue
+            taken += 1
+            val = growth.evaluate(G, v)
+            if val == growth.NEG_INF:
+                outside += 1
+            elif val != dot(mu, v) + dot(rh, v):
+                failures += 1
+    report = {
+        "index_set": idx,
+        "samples": taken,
+        "equality_failures": failures,
+        "outside_cone": outside,
+        "tent_certified": bool(tent),
+        "mode": "consistency" if consistency else "report",
+    }
+    if consistency and (failures or not tent):
+        raise CheckFailure(f"linearity on the charged subcone failed: {report}")
+    return report

@@ -279,6 +279,16 @@ def test_figure_n_below_2_exits_2(capsys, tmp_path, n):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("argv", [["--preset", "a2", "--n", "-7"],
+                                  ["--preset", "so(2,5)", "--n", "5"]])
+def test_figure_n_with_another_preset_exits_2(capsys, tmp_path, argv):
+    out_path = tmp_path / "f.svg"
+    code, out, err = run(capsys, ["figure", *argv, "-o", str(out_path)])
+    assert (code, out) == (2, "")
+    assert err == "input error: --n applies only to --preset so2n\n"
+    assert not out_path.exists()
+
+
 def test_figure_n_2_writes_so22(capsys, tmp_path):
     out_path = tmp_path / "f.svg"
     code, out, _ = run(capsys, ["figure", "--n", "2", "-o", str(out_path)])

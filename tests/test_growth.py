@@ -483,6 +483,16 @@ def test_tent_check():
         assert tent_check(G, mus)["passed"]
 
 
+def test_tent_check_rejects_malformed_mu():
+    G = rho_model(so25())
+    with pytest.raises(InputError, match="tent check mu 1 needs 2 entries"):
+        tent_check(G, [[1, 0], [1, 0, 0]])
+    with pytest.raises(InputError, match="tent check mu 0 needs 2 entries"):
+        tent_check(G, [[1]])
+    with pytest.raises(InputError, match="tent check mu 0 has a non-rational entry"):
+        tent_check(G, [[1, "x"]])
+
+
 def test_dominant_iota_classes():
     A2 = build_root_system("a2")
     assert dominant_iota_classes(A2) == (vec([1, 1]),)

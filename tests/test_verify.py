@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -12,8 +13,9 @@ from weylgrowth.cones import avoids_facet, chamber_rays, closure, poly_cone
 from weylgrowth.critical import critical_data, theta_mu
 from weylgrowth.errors import CheckFailure, InputError
 from weylgrowth.growth import (build_growth_model, modified_cone_nonempty,
-                               modified_limit_cone, random_growth_model)
-from weylgrowth import verify
+                               modified_limit_cone, random_growth_model,
+                               tent_check)
+from weylgrowth import growth, verify
 from weylgrowth.polyhedra import conic_member
 from weylgrowth.rational import dot, lincomb, vadd, vec, vscale, vsub
 from weylgrowth.rootsystem import (apply_iota, build_root_system,
@@ -481,6 +483,45 @@ def test_psilinear_rejects_negative_samples():
     with pytest.raises(InputError, match="nonnegative"):
         check_psilinear(wall_model(), samples=-3)
     assert check_psilinear(wall_model(), samples=0)["samples"] == 0
+
+
+def _outcome(check, *args, **kwargs):
+    try:
+        return "report", check(*args, **kwargs)
+    except (CheckFailure, InputError) as e:
+        return type(e).__name__, str(e)
+
+
+@pytest.mark.parametrize("preset", ["a2", "b2", "g2", "a3", "b3", "so(2,5)", "b4", "f4"])
+def test_sampled_model_checks_match_fraction_oracle(preset, monkeypatch):
+    # whole reports, failure dicts entry by entry, against the per-point
+    # Fraction loops the integer tables replaced; model seed 3 gives
+    # psilinear equality failures on b2, g2 and so(2,5) and points outside
+    # the cone on all but a2
+    R = build_root_system(preset)
+    G = random_growth_model(R, random.Random(3))
+    ws = fundamental_weights(R)
+    rng = random.Random(40)
+    mus = [*R.simple_roots, *(lincomb([Q(rng.randint(0, 3), rng.randint(1, 2)) for _ in ws], ws)
+                              for _ in range(4))]
+    for slack in (0, Q(1, 10**8), Q(-1, 3)):
+        for s in (0, 5):
+            assert (tent_check(G, mus, slack=slack, seed=s)
+                    == lemma_oracle.tent_check(G, mus, slack=slack, seed=s))
+    for s in (0, 3):
+        for consistency in (False, True):
+            assert (_outcome(check_psilinear, G, samples=150, seed=s,
+                             consistency=consistency)
+                    == _outcome(lemma_oracle.check_psilinear, G, samples=150,
+                                seed=s, consistency=consistency))
+    # a delta' one below the true value: failures exist and must agree
+    real = growth.delta_prime
+    monkeypatch.setattr(growth, "delta_prime", lambda G, mu, modified=True: (
+        dataclasses.replace(dp, value=dp.value - 1)
+        if (dp := real(G, mu, modified)).status != "infinite" else dp))
+    forced = tent_check(G, mus, slack=Q(1, 10**8), seed=2)
+    assert forced["failures"]
+    assert forced == lemma_oracle.tent_check(G, mus, slack=Q(1, 10**8), seed=2)
 
 
 # -- closed-form table ----------------------------------------------------------
