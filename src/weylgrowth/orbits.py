@@ -9,6 +9,7 @@ depend on the enumeration horizon say so.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,14 @@ class CartanSample:
     rank: int
     dropped: int = 0
 
+    @cached_property
+    def coords(self):
+        """The points' coordinates, one row each, as a read-only array."""
+        X = np.array([p for p, _ in self.points], dtype=float)
+        X = X.reshape(len(self.points), self.rank + 1)
+        X.flags.writeable = False
+        return X
+
 
 def build_group_spec(obj) -> MatrixGroupSpec:
     """Validate a generator specification, accepting the JSON input shape.
@@ -95,7 +104,10 @@ def build_group_spec(obj) -> MatrixGroupSpec:
             A = np.empty(0)  # ragged or non-numeric: fails the shape check
         if A.shape != (n, n) or not np.all(np.isfinite(A)):
             raise InputError(f"generators must be finite {n}x{n} matrices")
-        d = float(np.linalg.det(A))
+        with np.errstate(over="ignore"):
+            d = float(np.linalg.det(A))
+        if not math.isfinite(d):
+            raise InputError("generator determinant overflows a float")
         if abs(d) < 1e-12:
             raise InputError("generator is numerically singular")
         if d < 0 and n % 2 == 0:
@@ -220,34 +232,41 @@ def enumerate_orbit(spec, cap: int = ORBIT_CAP_DEFAULT) -> CartanSample:
     spec = build_group_spec(spec)
     tol = spec.dedupe_tolerance
     letters, m = _letters(spec)
-    # levels[k] holds the kept projections of length k; seen, their grid cells
-    levels = [[tuple(0.0 for _ in range(spec.n))]]
+    # one row of grid-cell indices read as one bytes key
+    cell = np.dtype((np.void, 8 * spec.n))
+    # blocks[k] holds the kept projections of one block of words of length
+    # lengths[k]; seen, the grid cells of the current length
+    blocks, lengths = [np.zeros((1, spec.n))], [0]
     seen, dropped, count = set(), 0, 1
 
     def keep(length, products):
         nonlocal seen, dropped, count
-        if length == len(levels):
-            levels.append([])
+        if length != lengths[-1]:
             seen = set()
         pts, ok = _cartan_points(products[0])
         dropped += len(ok) - len(pts)
-        kept = []
-        for i, mu in zip(ok.nonzero()[0].tolist(), pts.tolist()):
-            key = tuple(round(x / tol) for x in mu)
-            if key in seen:
-                continue
-            seen.add(key)
-            count += 1
-            if count > cap:
-                raise CapExceeded("orbit enumeration", count, cap, setting="orbit_cap")
-            levels[-1].append(tuple(mu))
-            kept.append(i)
-        return kept
+        # rint rounds half to even as round does, and + 0.0 folds -0.0 into
+        # the cell of 0.0; DEDUPE_TOL_MIN keeps pts / tol finite
+        cells = (np.rint(pts / tol) + 0.0).view(cell)[:, 0].tolist()
+        kept = [i for i, c in enumerate(cells)
+                if c not in seen and not seen.add(c)]
+        count += len(kept)
+        if count > cap:
+            raise CapExceeded("orbit enumeration", cap + 1, cap, setting="orbit_cap")
+        lengths.append(length)
+        if len(kept) == len(ok):  # nothing dropped or merged: no copies
+            blocks.append(pts)
+            return slice(None)
+        blocks.append(pts.take(kept, axis=0))
+        return ok.nonzero()[0].take(kept)
 
     _walk([letters], m, spec.max_word_length, keep)
-    # canonical order within each level, independent of visit order
-    points = tuple((mu, length) for length, level in enumerate(levels)
-                   for mu in sorted(level))
+    P = np.concatenate(blocks)
+    L = np.repeat(lengths, [len(b) for b in blocks])
+    # canonical order, independent of visit order: by word length, then
+    # lexicographic in the coordinates
+    order = np.lexsort((*P.T[::-1], L))
+    points = tuple(zip(map(tuple, P[order].tolist()), L[order].tolist()))
     return CartanSample(points=points, rank=spec.n - 1, dropped=dropped)
 
 
@@ -263,8 +282,13 @@ def validate_cartan_sample(S: CartanSample) -> bool:
     return True
 
 
-def _norm(p) -> float:
-    return math.sqrt(sum(x * x for x in p))
+def _row_sums(T):
+    """Row sums of T, each added left to right from 0: the bits of the
+    builtin sum over the row up to CPython 3.11 (3.12 compensates)."""
+    total = np.zeros(len(T))
+    for column in T.T:
+        total += column
+    return total
 
 
 def empirical_limit_cone(S: CartanSample, radius_cut: float):
@@ -277,16 +301,16 @@ def empirical_limit_cone(S: CartanSample, radius_cut: float):
     """
     if not math.isfinite(radius_cut):
         raise InputError(f"the radius cut must be finite, got {radius_cut}")
-    dirs = []
-    for p, _ in S.points:
-        r = _norm(p)
-        if r >= radius_cut and r > 0:
-            dirs.append(tuple(x / r for x in p))
-    if not dirs:
+    P = S.coords
+    r = np.sqrt(_row_sums(P * P))
+    far = (r >= radius_cut) & (r > 0)
+    if not far.any():
         raise InputError("no sample points beyond the radius cut; "
                          "enumerate with a larger max_word_length")
-    kept = _extreme_directions(np.array(dirs))
-    return poly_cone(generators=tuple(dirs[i] for i in kept), rank=S.rank + 1)
+    D = P[far] / r[far, None]
+    kept = _extreme_directions(D)
+    return poly_cone(generators=tuple(map(tuple, D[kept].tolist())),
+                     rank=S.rank + 1)
 
 
 # an axis of the slice points' affine hull counts when some point lies
@@ -326,36 +350,61 @@ def estimate_exponent(S: CartanSample, mu) -> dict:
     Fits log N(T) against T by least squares over the top half of the
     value range (the regime is echoed in the output).  The number is an
     estimate from a word-metric ball, never a certified abscissa, and
-    the report says so in its flag field.
+    the report says so in its flag field.  A weighting with a non-finite
+    entry, or one whose mu-values or fit statistics overflow, raises
+    InputError.
     """
-    mu = tuple(float(x) for x in mu)
+    try:
+        mu = tuple(float(x) for x in mu)
+        finite = all(map(math.isfinite, mu))
+    except OverflowError:  # a Fraction or int beyond the float range
+        finite = False
+    if not finite:
+        raise InputError("the weighting functional must have finite entries")
     if len(mu) != S.rank + 1:
         raise InputError("the weighting functional must have one entry "
                          "per matrix dimension")
-    vals = sorted(sum(m * x for m, x in zip(mu, p)) for p, _ in S.points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.sort(_row_sums(S.coords * mu))
     if len(vals) < 1000:
         raise InputError("need at least 1000 sample points for an estimate")
-    spread = vals[-1] - vals[0]
+    hi = float(vals[-1])
+    spread = hi - float(vals[0])
+    if not math.isfinite(spread):
+        raise InputError("the mu-values overflow; scale the weighting "
+                         "functional down")
     if spread < 3:
         raise InputError("mu-values must spread over at least 3 units")
-    lo = vals[-1] - spread / 2
-    xs, ys = [], []
-    for k, t in enumerate(vals):
-        if t >= lo:
-            xs.append(t)
-            ys.append(math.log(k + 1))
+    lo = hi - spread / 2
+    # the values t >= lo are a tail of the sorted vals; the one at index k
+    # is counted by N(t) = k + 1
+    start = int(np.searchsorted(vals, lo))
+    xs = vals[start:]
+    # math.log, not np.log: numpy's may differ in the last bit
+    ys = np.fromiter(map(math.log, range(start + 1, len(vals) + 1)), float)
     if len(xs) < 3 or xs[-1] - xs[0] <= 0:
         raise InputError("insufficient spread in the fitting regime")
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = [y - (slope * x + intercept) for x, y in zip(xs, ys)]
-    mean = sum(xs) / len(xs)
-    ssxx = sum((x - mean) ** 2 for x in xs)
-    se = math.sqrt(sum(r * r for r in resid) / max(len(xs) - 2, 1) / ssxx)
+    # an overflow in the fit raises: numpy's under errstate, Python's **
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            slope, intercept = np.polyfit(xs, ys, 1)
+            resid = ys - (slope * xs + intercept)
+            x = xs.tolist()
+            mean = sum(x) / len(x)
+            ssxx = sum((t - mean) ** 2 for t in x)
+            # numpy scalars, which every CPython's sum adds in plain order
+            se = math.sqrt(sum(resid * resid) / max(len(x) - 2, 1) / ssxx)
+        finite = all(map(math.isfinite, (mean, ssxx, se)))
+    except ArithmeticError:
+        finite = False
+    if not finite:
+        raise InputError("the fit statistics are not finite; scale the "
+                         "weighting functional down")
     band = 1.96 * se
     return {
         "estimate": float(slope),
         "band": [float(slope - band), float(slope + band)],
-        "regime": [float(lo), float(vals[-1])],
+        "regime": [lo, hi],
         "points_used": len(xs),
         "flag": ESTIMATE_FLAG,
     }

@@ -460,6 +460,24 @@ def test_orbit_bad_mu(capsys, tmp_path):
     assert code == 2 and "non-rational entry" in err
 
 
+@pytest.mark.parametrize("mu,message", [
+    ("1e400,0,-1", "the weighting functional must have finite entries"),
+    ("1e300,0,-1e300", "the fit statistics are not finite; scale the "
+                       "weighting functional down"),
+])
+def test_orbit_mu_overflow_exits_2(capsys, tmp_path, mu, message):
+    # quarter log spacing: 1201 points, enough for an estimate
+    lam = math.exp(0.25)
+    gens = tmp_path / "cyc.json"
+    gens.write_text(json.dumps({
+        "ambient": "sl3r",
+        "generators": [[[lam, 0, 0], [0, 1, 0], [0, 0, 1 / lam]]],
+        "max_word_length": 1200}))
+    code, out, err = run(capsys, ["orbit", str(gens), f"--mu={mu}"])
+    assert (code, out) == (2, "")
+    assert err == f"input error: {message}\n"
+
+
 CYCLIC_SPEC = {"ambient": "sl3r",
                "generators": [[[2.0, 0, 0], [0, 1, 0], [0, 0, 0.5]]],
                "max_word_length": 4}
@@ -482,8 +500,10 @@ def test_orbit_non_finite_radius_cut_exits_2(capsys, tmp_path, cut):
     {"dedupe_tolerance": None},
     {"dedupe_tolerance": 1e-320},
     {"max_word_length": True},
+    {"generators": [[[1e300, 1, 0], [1, 1e300, 0], [0, 0, 1]]]},
 ], ids=["generators-int", "entry-x", "ragged", "tolerance-abc",
-        "tolerance-null", "tolerance-subnormal", "word-length-true"])
+        "tolerance-null", "tolerance-subnormal", "word-length-true",
+        "determinant-overflow"])
 def test_orbit_malformed_spec_exits_2(capsys, tmp_path, change):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(dict(CYCLIC_SPEC, **change)))

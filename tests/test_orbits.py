@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,74 @@ def reference_enumeration(spec, cap=ORBIT_CAP_DEFAULT):
     return tuple(points), dropped
 
 
+def left_sum(terms):
+    """The builtin sum as CPython up to 3.11 adds floats: from 0, left to
+    right.  (3.12 compensates the rounding, which the array path does not.)"""
+    total = 0
+    for t in terms:
+        total = total + t
+    return total
+
+
+def unit_directions(S, radius_cut):
+    """The normalized sample points of norm at least radius_cut, in order,
+    each norm and direction computed one point at a time."""
+    dirs = []
+    for p, _ in S.points:
+        r = math.sqrt(left_sum(x * x for x in p))
+        if r >= radius_cut and r > 0:
+            dirs.append(tuple(x / r for x in p))
+    return dirs
+
+
+def reference_limit_cone(S, radius_cut):
+    """The ordered generators as the per-point loop found them: the hull
+    of empirical_limit_cone run on the directions of unit_directions."""
+    dirs = unit_directions(S, radius_cut)
+    return [dirs[i] for i in orbits._extreme_directions(np.array(dirs))]
+
+
+def reference_exponent(S, mu):
+    """estimate_exponent as it ran one point at a time: each mu-value one
+    sum over the coordinates, the fitting regime collected in a loop."""
+    mu = tuple(float(x) for x in mu)
+    vals = sorted(left_sum(m * x for m, x in zip(mu, p)) for p, _ in S.points)
+    if len(vals) < 1000:
+        raise InputError("need at least 1000 sample points for an estimate")
+    spread = vals[-1] - vals[0]
+    if spread < 3:
+        raise InputError("mu-values must spread over at least 3 units")
+    lo = vals[-1] - spread / 2
+    xs, ys = [], []
+    for k, t in enumerate(vals):
+        if t >= lo:
+            xs.append(t)
+            ys.append(math.log(k + 1))
+    if len(xs) < 3 or xs[-1] - xs[0] <= 0:
+        raise InputError("insufficient spread in the fitting regime")
+    slope, intercept = np.polyfit(xs, ys, 1)
+    resid = [y - (slope * x + intercept) for x, y in zip(xs, ys)]
+    mean = sum(xs) / len(xs)
+    ssxx = sum((x - mean) ** 2 for x in xs)
+    se = math.sqrt(sum(r * r for r in resid) / max(len(xs) - 2, 1) / ssxx)
+    band = 1.96 * se
+    return {
+        "estimate": float(slope),
+        "band": [float(slope - band), float(slope + band)],
+        "regime": [float(lo), float(vals[-1])],
+        "points_used": len(xs),
+        "flag": ESTIMATE_FLAG,
+    }
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the InputError it raises."""
+    try:
+        return f(*args)
+    except InputError as ex:
+        return type(ex).__name__, str(ex)
+
+
 def seeded_pair(n, seed, depth, tol=1e-6):
     """Two generic generators near the identity, positive determinant."""
     rng = np.random.default_rng(seed)
@@ -150,6 +219,73 @@ def test_enumeration_blocks_match_oracle(monkeypatch):
     spec = seeded_pair(3, 5, 5, tol=0.01)
     S = enumerate_orbit(spec)
     assert (S.points, S.dropped) == reference_enumeration(spec)
+
+
+def diagonal_sl2(*logs):
+    return [np.diag([math.exp(a), math.exp(-a)]).tolist() for a in logs]
+
+
+def test_dedupe_folds_negative_zero_into_the_zero_cell():
+    # at tol 0.5 the middle coordinates -0.1 and 0.1 round to -0.0 and 0.0,
+    # and the outer ones to the same cells, so all four letters merge into
+    # the first, whose middle coordinate is the negative one
+    spec = {"ambient": "sl3r",
+            "generators": [np.diag(np.exp([1.0, -0.1, -0.9])).tolist(),
+                           np.diag(np.exp([1.0, 0.1, -1.1])).tolist()],
+            "max_word_length": 3, "dedupe_tolerance": 0.5}
+    S = enumerate_orbit(spec)
+    assert [wl for _, wl in S.points].count(1) == 1
+    assert S.points[1][0][1] < 0.0
+    assert (S.points, S.dropped) == reference_enumeration(spec)
+
+
+@pytest.mark.parametrize("tie,ratio", [(0.5, 0.5), (1.5, 4 / 3), (2.5, 0.8)])
+def test_dedupe_rounds_half_cells_to_even(tie, ratio):
+    """A coordinate exactly tie cells from 0 rounds to the even cell, where
+    a second generator's coordinate, ratio times as large, lies too."""
+    x = enumerate_orbit({"ambient": "sl2r", "generators": diagonal_sl2(0.26),
+                         "max_word_length": 1}).points[1][0][0]
+    tol = x / tie
+    for _ in range(8):
+        if x / tol == tie:
+            break
+        tol = math.nextafter(tol, math.inf if x / tol > tie else 0.0)
+    assert x / tol == tie
+    spec = {"ambient": "sl2r", "generators": diagonal_sl2(0.26, 0.26 * ratio),
+            "max_word_length": 4, "dedupe_tolerance": tol}
+    S = enumerate_orbit(spec)
+    # g, h and their inverses share the even cell
+    assert [wl for _, wl in S.points].count(1) == 1
+    assert (S.points, S.dropped) == reference_enumeration(spec)
+
+
+def test_dedupe_at_the_tolerance_floor():
+    # coordinates up to 600 on the 1e-300 grid, so x / tol reaches 6e302;
+    # words whose smallest singular value underflows are dropped
+    spec = {"ambient": "sl3r",
+            "generators": [np.diag(np.exp([350.0, 0.0, -350.0])).tolist(),
+                           np.diag(np.exp([200.0, 100.0, -300.0])).tolist()],
+            "max_word_length": 2, "dedupe_tolerance": orbits.DEDUPE_TOL_MIN}
+    S = enumerate_orbit(spec)
+    assert max(p[0] for p, _ in S.points) >= 599.0 and S.dropped > 0
+    assert (S.points, S.dropped) == reference_enumeration(spec)
+
+
+def test_cap_trips_mid_level_and_mid_block(monkeypatch):
+    # a block of 7 words holds the 3 children of each of 2 parents, so
+    # level 2 spans two blocks; the cap falls on its fifth kept word
+    monkeypatch.setattr(orbits, "_BLOCK_WORDS", 7)
+    spec = seeded_pair(3, 5, 4, tol=0.01)
+    points, _ = reference_enumeration(spec)
+    cap = sum(1 for _, wl in points if wl <= 1) + 4
+    assert sum(1 for _, wl in points if wl == 2) > 6
+    with pytest.raises(CapExceeded) as ours:
+        enumerate_orbit(spec, cap=cap)
+    with pytest.raises(CapExceeded) as oracle:
+        reference_enumeration(spec, cap=cap)
+    assert (ours.value.needed, ours.value.cap) == \
+        (oracle.value.needed, oracle.value.cap) == (cap + 1, cap)
+    assert str(ours.value).endswith("raise the config key orbit_cap to proceed")
 
 
 def test_failed_stacked_svd_falls_back_per_matrix(monkeypatch):
@@ -211,6 +347,11 @@ def test_spec_validation():
     with pytest.raises(InputError):
         build_group_spec({"ambient": "sl3r", "generators": [],
                           "max_word_length": 3, "dedupe_tolerance": 0.0})
+    # the determinant overflows; numpy's overflow warning must not escape
+    with pytest.raises(InputError, match="determinant overflows"):
+        build_group_spec({"ambient": "sl3r",
+                          "generators": [[[1e300, 1, 0], [1, 1e300, 0], [0, 0, 1]]],
+                          "max_word_length": 3})
 
 
 def test_spec_renormalizes_determinant():
@@ -382,16 +523,6 @@ def linprog_convex_position(dirs):
         else:
             i += 1
     return kept
-
-
-def unit_directions(S, radius_cut):
-    """The normalized sample points of norm at least radius_cut, in order."""
-    dirs = []
-    for p, _ in S.points:
-        r = math.sqrt(sum(x * x for x in p))
-        if r >= radius_cut and r > 0:
-            dirs.append(tuple(x / r for x in p))
-    return dirs
 
 
 def cone_directions(S, radius_cut):
@@ -581,6 +712,19 @@ def test_pool_cone_and_exponent_pinned(kind, index):
     assert estimate_exponent(S, entry["mu"]) == PINNED[kind, index]["exponent"]
 
 
+@pytest.mark.parametrize("kind,index", [(kind, i) for kind in sorted(POOL)
+                                        for i in range(len(POOL[kind]))])
+def test_pool_entry_matches_per_point_oracles(kind, index):
+    """Points, drop count, ordered generators and estimate, bit for bit."""
+    entry = POOL[kind][index]
+    S = enumerate_orbit(entry["spec"])
+    assert (S.points, S.dropped) == reference_enumeration(entry["spec"])
+    assert generator_list(empirical_limit_cone(S, entry["radius_cut"])) == \
+        reference_limit_cone(S, entry["radius_cut"])
+    assert outcome(estimate_exponent, S, entry["mu"]) == \
+        outcome(reference_exponent, S, entry["mu"])
+
+
 def test_exponent_cyclic_is_near_zero():
     # quarter log spacing keeps a thousand words inside float range
     S = enumerate_orbit(cyclic3(lam=math.exp(0.25), depth=1200))
@@ -610,6 +754,21 @@ def test_exponent_preconditions():
         estimate_exponent(thin, (1.0, 0.0, -1.0))
     with pytest.raises(InputError):
         estimate_exponent(S, (1.0, -1.0))
+
+
+@pytest.mark.parametrize("mu,message", [
+    ((math.inf, 0.0, -1.0), "finite entries"),
+    ((0.5, math.nan, -0.5), "finite entries"),
+    ((Fraction(10**400), 0, -1), "finite entries"),
+    ((1e308, 0.0, -1e308), "mu-values overflow"),
+    ((1e300, 0.0, -1e300), "fit statistics are not finite"),
+    ((1e154, 0.0, -1e154), "fit statistics are not finite"),
+])
+def test_exponent_rejects_non_finite_weightings(mu, message):
+    # numpy's overflow warnings would fail this run; none may escape
+    S = enumerate_orbit(cyclic3(lam=math.exp(0.25), depth=1200))
+    with pytest.raises(InputError, match=message):
+        estimate_exponent(S, mu)
 
 
 def test_iota_symmetry_cyclic():
