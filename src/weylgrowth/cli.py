@@ -16,12 +16,11 @@ import sys
 
 from .cones import avoids_facet, closure
 from .critical import critical_data, critical_report
-from .errors import CheckFailure, InputError, InternalError, ModelInvariantError
+from .errors import (ORBIT_CAP_DEFAULT, CheckFailure, InputError, InternalError,
+                     ModelInvariantError)
 from .figures import figure_geometry, figure_svg
 from .growth import (delta_prime, delta_prime_report, growth_model_from_json,
                      modified_limit_cone, random_growth_model)
-from .orbits import (ORBIT_CAP_DEFAULT, empirical_limit_cone, enumerate_orbit,
-                     estimate_exponent, iota_symmetry_check, sample_to_csv)
 from .rational import is_zero
 from .rootsystem import (_num_to_json, build_root_system, fundamental_weights,
                          iota_permutation, rho, root_system_to_json,
@@ -259,6 +258,9 @@ def cmd_check(args, cfg) -> int:
 
 
 def cmd_orbit(args, cfg) -> int:
+    # the one float subcommand: numpy loads here, not with the CLI
+    from .orbits import (empirical_limit_cone, enumerate_orbit,
+                         estimate_exponent, iota_symmetry_check, sample_to_csv)
     obj = _read_json(args.gens, "generator file")
     S = enumerate_orbit(obj, cap=cfg["orbit_cap"])
     out = {"points": len(S.points), "dropped": S.dropped, "rank": S.rank,
@@ -356,6 +358,13 @@ def main(argv=None) -> int:
         return 1
     except InputError as ex:
         print(f"input error: {ex}", file=sys.stderr)
+        return 2
+    except ModuleNotFoundError as ex:
+        # numpy and scipy come only with the orbits extra; only orbit needs them
+        if (ex.name or "").partition(".")[0] not in ("numpy", "scipy"):
+            raise
+        print(f"input error: {args.command} needs {ex.name}, which is not "
+              'installed: pip install "weylgrowth[orbits]"', file=sys.stderr)
         return 2
     except ModelInvariantError as ex:
         print(f"model invariant violation: {ex}", file=sys.stderr)

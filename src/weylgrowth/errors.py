@@ -1,5 +1,9 @@
 """Exception taxonomy mirrored by the CLI exit codes."""
 
+# default of the orbit_cap config key, which the CapExceeded of an orbit
+# enumeration names; kept out of orbits so the CLI reads it without numpy
+ORBIT_CAP_DEFAULT = 10**6
+
 
 class InputError(ValueError):
     """Bad user input: unknown preset, malformed JSON, violated precondition.  Exit 2."""

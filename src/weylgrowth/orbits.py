@@ -14,9 +14,8 @@ from functools import cached_property
 import numpy as np
 
 from .cones import poly_cone
-from .errors import CapExceeded, InputError
+from .errors import ORBIT_CAP_DEFAULT, CapExceeded, InputError
 
-ORBIT_CAP_DEFAULT = 10**6
 DEDUPE_TOL_DEFAULT = 1e-6
 # kept singular values lie between the smallest subnormal and DBL_MAX, so
 # Cartan coordinates satisfy |x| < 1455 and x / tol stays finite (its

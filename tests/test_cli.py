@@ -126,6 +126,13 @@ def test_growth_solve_mu_list_from_file(capsys, b2_models, tmp_path):
     assert [row["mu"] for row in rep["delta_prime_mu"]] == [[1, 0], [1, 1]]
 
 
+def _src_env() -> dict:
+    """The environment for a child interpreter that imports ./src."""
+    src = Path(cli.__file__).resolve().parent.parent
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
 @pytest.mark.parametrize("simple", [[[1, 0], [0, 0]], [[0]]])
 def test_growth_solve_zero_simple_root_exits_2(tmp_path, simple):
     # a zero simple root made the positive closure loop forever; the
@@ -135,11 +142,8 @@ def test_growth_solve_zero_simple_root_exits_2(tmp_path, simple):
     model.write_text(json.dumps({"root_system": {"simple_roots": simple},
                                  "cone": {"generators": [[1] * n]},
                                  "pieces": [[1] * n]}))
-    src = Path(cli.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "weylgrowth.cli", "growth-solve", str(model)],
-                          env=env, capture_output=True, text=True, timeout=60)
+                          env=_src_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert "simple roots are not linearly independent" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -643,3 +647,98 @@ def test_config_file_env(capsys, tmp_path, monkeypatch):
         assert code == 2 and "not a valid int" in err, cfg
     cfgfile.write_text(json.dumps({"seed": -3, "orbit_cap": 1}))
     assert cli.load_config() == {"seed": -3, "orbit_cap": 1}
+
+
+# -- without the orbits extra ---------------------------------------------
+
+# A fresh interpreter whose first meta-path finder refuses the modules
+# named in argv[1] (comma separated) and their submodules, as if they were
+# not installed, then runs the CLI on argv[2:].
+REFUSING_CLI = """
+import sys
+
+refused = sys.argv[1].split(",")
+
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if any(name == r or name.startswith(r + ".") for r in refused):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+
+sys.meta_path.insert(0, Refuse())
+from weylgrowth.cli import main
+
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def run_refusing(refused, argv):
+    return subprocess.run(
+        [sys.executable, "-c", REFUSING_CLI, ",".join(refused), *argv],
+        env=_src_env(), capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_loads_neither_numpy_nor_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, weylgrowth.cli; "
+         "print(sorted({'numpy', 'scipy'} & set(sys.modules)))"],
+        env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["rootsys", "--preset", "b3", "--json"],
+    ["bounds", "--preset", "b2"],
+    ["growth-solve", "@model", "--consistency"],
+    ["check", "--suite", "lemmas", "--samples", "20"],
+    ["figure", "--preset", "so2n", "--n", "5", "-o", "@svg"],
+    ["--help"],
+], ids=lambda argv: argv[0])
+def test_exact_subcommands_run_without_numpy_and_scipy(tmp_path, b2_models,
+                                                       argv):
+    files = {"@model": b2_models["thin"], "@svg": str(tmp_path / "f.svg")}
+    proc = run_refusing(["numpy", "scipy"], [files.get(a, a) for a in argv])
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.fixture()
+def sl4r_spec(tmp_path):
+    """21 points whose limit cone is found by Qhull: scipy loads for it."""
+    spec = tmp_path / "sl4r.json"
+    spec.write_text(json.dumps({
+        "ambient": "sl4r",
+        "generators": [[[2.0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                       [[1.0, 0, 0, 0], [0, 2, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]],
+                       [[1.0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]]],
+        "max_word_length": 3}))
+    return str(spec)
+
+
+@pytest.mark.parametrize("refused,flags,missing", [
+    (["numpy", "scipy"], [], "numpy"),
+    (["numpy"], ["--radius-cut", "1"], "numpy"),
+    (["scipy"], ["--radius-cut", "1"], "scipy"),
+    (["scipy.spatial"], ["--radius-cut", "1"], "scipy.spatial"),
+])
+def test_orbit_without_the_extra_exits_2(sl4r_spec, refused, flags, missing):
+    proc = run_refusing(refused, ["orbit", sl4r_spec, *flags])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"input error: orbit needs {missing}, which is not "
+                           'installed: pip install "weylgrowth[orbits]"\n')
+
+
+def test_orbit_without_scipy_runs_without_a_radius_cut(sl4r_spec):
+    proc = run_refusing(["scipy"], ["orbit", sl4r_spec, "--iota-check", "2"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    out = json.loads(proc.stdout)
+    assert (out["points"], out["iota_symmetry"]["failures"]) == (21, 0)
+
+
+def test_other_missing_modules_still_surface(sl4r_spec):
+    proc = run_refusing(["weylgrowth.orbits"], ["orbit", sl4r_spec])
+    assert proc.returncode == 1
+    assert "Traceback" in proc.stderr
+    assert proc.stderr.rstrip().endswith(
+        "ModuleNotFoundError: No module named 'weylgrowth.orbits'")
