@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from sys import float_info
 
 from .cones import chamber_rays
 from .errors import InputError, InternalError
@@ -69,12 +70,11 @@ def _route_a(G: GrowthIndicator) -> dict:
         if v_star is None:
             raise InternalError("projection disagrees with the super-level vertices")
         nsq = vector_norm_sq(R, v_star)
-        delta = 1 / math.sqrt(nsq)
         mu_exact = vscale(Q(1) / nsq, matvec(R.gram_inv, v_star))
-        return {"status": "positive", "delta": delta,
-                "v_unit": _direction(R, v_star),
+        return {"status": "positive", "delta": _floats((1,), nsq)[0],
+                "v_unit": _floats(v_star, nsq),
                 "v_exact": v_star, "mu_exact": mu_exact,
-                "mu": tuple(float(x) for x in mu_exact)}
+                "mu": _floats(mu_exact)}
     val, vdir = _nonpositive_sup(G)
     return {"status": "nonpositive", "delta": val, "v_unit": vdir,
             "v_exact": None, "mu_exact": vzero(n), "mu": (0.0,) * n}
@@ -92,16 +92,27 @@ def _nonpositive_sup(G: GrowthIndicator):
     R = G.root_system
     rays = recession_rays(G, True)
     if rays:
-        return 0.0, _direction(R, rays[0])
+        return 0.0, _floats(rays[0], vector_norm_sq(R, rays[0]))
     w = max(growth_polytope_vertices(G, True, -1),
             key=lambda x: vector_norm_sq(R, x))
-    return -1 / math.sqrt(vector_norm_sq(R, w)), _direction(R, w)
+    nsq = vector_norm_sq(R, w)
+    return _floats((-1,), nsq)[0], _floats(w, nsq)
 
 
-def _direction(R, v):
-    """v / |v| as floats."""
-    nrm = math.sqrt(vector_norm_sq(R, v))
-    return tuple(float(x) / nrm for x in v)
+def _floats(xs, nsq=1) -> tuple:
+    """x / sqrt(nsq) as floats for rationals x and nsq > 0: float(x) /
+    math.sqrt(nsq) if nsq is a normal double, else nsq is scaled by 4**-k into
+    [1, 8) and x by 2**-k first, so no float between is 0 or overflows."""
+    # 2**(nb-1) < nsq < 2**(nb+1), so the middle range of nb is normal
+    nb = nsq.numerator.bit_length() - nsq.denominator.bit_length()
+    k = 0 if -1021 <= nb <= 1022 or float_info.min <= nsq <= float_info.max else (nb - 1) // 2
+    if k:
+        nsq, xs = nsq / Q(4) ** k, [x / Q(2) ** k for x in xs]
+    s = math.sqrt(nsq)
+    try:
+        return tuple(float(x) / s for x in xs)
+    except OverflowError:
+        raise InputError("a critical value lies beyond the float range") from None
 
 
 def solve_mu_gamma_minimization(G: GrowthIndicator):
@@ -189,7 +200,7 @@ def critical_report(G: GrowthIndicator) -> dict:
     theta = {}
     for i, w in enumerate(fundamental_weights(R), start=1):
         t = theta_mu(cd.mu_gamma_exact, w, R)
-        theta[f"omega_{i}"] = float(t)
+        theta[f"omega_{i}"] = _floats((t,))[0]
     delta = cd.delta_prime_max
     return {"delta_prime": delta if math.isfinite(delta) else "-inf",
             "v_gamma": list(cd.v_gamma) if cd.v_gamma is not None else None,

@@ -8,12 +8,13 @@ the identification covector -> vector is mu -> G mu.
 
 One integer core serves the construction: the Cartan matrix
 A[i][j] = 2<a_i, a_j>/<a_j, a_j>, computed once in ints, and each root's
-integer coordinates in the simple-root basis.  The positive closure, heights,
-W-invariance checks, strongly orthogonal cascade, Weyl-group elements and -w0
-run on these tuples; ambient Fraction vectors are formed once, at the end of a
-build.  A group element is the tuple of its images of the simple roots, the
-columns of an integer matrix M; a caller that needs a covector matrix gets
-P M P^-1, for P the matrix whose columns are the simple roots.
+integer coordinates in the simple-root basis.  The closure, heights, order,
+W-invariance checks, strongly orthogonal cascade, Weyl-group elements, -w0,
+rho and the fundamental weights run on these; ambient Fraction vectors are
+formed only where a result is returned.  A group element is the tuple of its
+images of the simple roots, the columns of an integer matrix M; a caller that
+needs a covector matrix gets P M P^-1, for P the matrix whose columns are the
+simple roots.
 """
 
 from __future__ import annotations
@@ -31,23 +32,22 @@ from .rational import (
     Mat,
     Vec,
     cleared_rows,
+    det,
     dot,
     identity,
+    idot,
     inverse,
     is_positive_definite,
     lincomb,
     mat,
     matmul,
     matvec,
-    rank as mat_rank,
-    solve,
     transpose,
     unit,
     vadd,
     vec,
     vscale,
     vsub,
-    vzero,
 )
 
 WEYL_CAP_DEFAULT = 2**20
@@ -87,10 +87,12 @@ class RootSystem:
     inner_product: Mat
     label: str = "custom"
     # the integer core, filled by _finish: the Cartan matrix, the simple-root
-    # Gram matrix over one denominator and the coordinates of pos_roots
+    # Gram matrix over one denominator, the coordinates of pos_roots and
+    # their ambient numerators D * root over one denominator D > 0
     cartan: tuple = field(kw_only=True, compare=False, repr=False)
     simple_gram: tuple = field(kw_only=True, compare=False, repr=False)
     coords: tuple = field(kw_only=True, compare=False, repr=False)
+    ambient: tuple = field(kw_only=True, compare=False, repr=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     # -- pairings ---------------------------------------------------------
@@ -116,30 +118,13 @@ class RootSystem:
     def is_dominant_covector(self, mu: Vec) -> bool:
         return all(dot(mu, ga) >= 0 for ga in gram_images(self)[0])
 
-    @memo("root_set")
-    def root_set(self) -> frozenset:
-        """All roots, positive and negative."""
-        pos = [r for r, _ in self.pos_roots]
-        return frozenset(pos) | frozenset(tuple(-x for x in r) for r in pos)
-
     def irreducible_components(self) -> list[list[int]]:
         """Indices of simple roots grouped by the orthogonality graph."""
-        n = len(self.simple_roots)
-        seen, comps = set(), []
-        for i in range(n):
-            if i in seen:
-                continue
-            stack, comp = [i], []
-            while stack:
-                j = stack.pop()
-                if j in seen:
-                    continue
-                seen.add(j)
-                comp.append(j)
-                stack.extend(k for k in range(n)
-                             if k not in seen and self.simple_gram[j][k] != 0)
-            comps.append(sorted(comp))
-        return comps
+        comps = []
+        for i in range(self.rank):
+            linked = [c for c in comps if any(self.simple_gram[i][j] for j in c)]
+            comps = [c for c in comps if c not in linked] + [sorted(sum(linked, [i]))]
+        return sorted(comps)
 
 
 # -- the integer core ------------------------------------------------------
@@ -157,22 +142,27 @@ def _reflect(cols, c: tuple, j: int) -> tuple:
 
 def _cartan_matrix(simple: tuple[Vec, ...], G: Mat) -> tuple[tuple, tuple]:
     """(A, B): the Cartan matrix A[i][j] = 2<a_i, a_j>/<a_j, a_j> and the Gram
-    matrix <a_i, a_j> over one denominator, both in ints.  Rejects dependent
-    or positively pairing simple roots (a zero one would stall the closure),
-    then the first non-integer entry of A in row order."""
+    matrix <a_i, a_j> over one denominator, both from the cleared simple
+    roots and G in ints.  Rejects dependent or positively pairing simple
+    roots (a zero one would stall the closure), then the first non-integer
+    entry of A in row order."""
     n = len(simple)
-    if mat_rank(simple) != n:
+    D, S = cleared_rows(simple)
+    if not det(S):
         raise InputError("simple roots are not linearly independent")
-    gram = matmul(simple, transpose([matvec(G, b) for b in simple]))
+    E, H = cleared_rows(G)
+    GS = [tuple(idot(h, s) for h in H) for s in S]
+    B = tuple(tuple(idot(s, g) for g in GS) for s in S)  # D^2 E <a_i, a_j>
     for i in range(n):
         for j in range(i + 1, n):
-            if gram[i][j] > 0:
-                raise InputError(f"simple roots {i},{j} have positive inner product {gram[i][j]}")
-    A = [[2 * g / gram[j][j] for j, g in enumerate(row)] for row in gram]
-    for i, j in ((i, j) for i in range(n) for j in range(n) if A[i][j].denominator != 1):
+            if B[i][j] > 0:
+                raise InputError(f"simple roots {i},{j} have positive inner product "
+                                 f"{Q(B[i][j], D * D * E)}")
+    for i, j in ((i, j) for i in range(n) for j in range(n) if 2 * B[i][j] % B[j][j]):
         b, a = vec_to_json(simple[i]), vec_to_json(simple[j])
-        raise InputError(f"non-crystallographic pair: 2<{b},{a}>/<{a},{a}> = {A[i][j]}")
-    return tuple(tuple(map(int, row)) for row in A), cleared_rows(gram)[1]
+        raise InputError(f"non-crystallographic pair: 2<{b},{a}>/<{a},{a}> = "
+                         f"{Q(2 * B[i][j], B[j][j])}")
+    return tuple(tuple(2 * g // B[j][j] for j, g in enumerate(row)) for row in B), B
 
 
 def _positive_closure(A: tuple) -> list[tuple[int, ...]]:
@@ -228,27 +218,27 @@ def _b_type_simple(n: int) -> tuple[Vec, ...]:
 
 def _preset_data(name: str):
     """Returns (simple_roots, gram, mult_fn, label) for a preset name; mult_fn
-    maps a positive root's simple-root coordinates to its multiplicity."""
+    maps a positive root's simple-root coordinates to its multiplicity, an int."""
     s = name.lower().replace(" ", "")
     m = re.fullmatch(r"([a-g])(\d+)", s)
     if m:
         typ, n = m.group(1), int(m.group(2))
         if typ == "a" and n >= 1:
             basis = tuple(unit(n, i) for i in range(n))
-            return basis, _gram_from_edges(n, [(i, i + 1) for i in range(n - 1)]), lambda r: Q(1), s
+            return basis, _gram_from_edges(n, [(i, i + 1) for i in range(n - 1)]), lambda r: 1, s
         if typ == "b" and n >= 1:
-            return _b_type_simple(n), identity(n), lambda r: Q(1), s
+            return _b_type_simple(n), identity(n), lambda r: 1, s
         if typ == "c" and n >= 2:
             out = [vsub(unit(n, i), unit(n, i + 1)) for i in range(n - 1)]
             out.append(vscale(2, unit(n, n - 1)))
-            return tuple(out), identity(n), lambda r: Q(1), s
+            return tuple(out), identity(n), lambda r: 1, s
         if typ == "d" and n >= 2:
             out = [vsub(unit(n, i), unit(n, i + 1)) for i in range(n - 1)]
             out.append(vadd(unit(n, n - 2), unit(n, n - 1)))
-            return tuple(out), identity(n), lambda r: Q(1), s
+            return tuple(out), identity(n), lambda r: 1, s
         if typ == "g" and n == 2:
             basis = (unit(2, 0), unit(2, 1))
-            return basis, mat([[2, -3], [-3, 6]]), lambda r: Q(1), s
+            return basis, mat([[2, -3], [-3, 6]]), lambda r: 1, s
         if typ == "f" and n == 4:
             simple = (
                 vsub(unit(4, 1), unit(4, 2)),
@@ -256,10 +246,10 @@ def _preset_data(name: str):
                 unit(4, 3),
                 vec(["1/2", "-1/2", "-1/2", "-1/2"]),
             )
-            return simple, identity(4), lambda r: Q(1), s
+            return simple, identity(4), lambda r: 1, s
         if typ == "e" and n in (6, 7, 8):
             basis = tuple(unit(n, i) for i in range(n))
-            return basis, _gram_from_edges(n, _SIMPLY_LACED_EDGES[s](n)), lambda r: Q(1), s
+            return basis, _gram_from_edges(n, _SIMPLY_LACED_EDGES[s](n)), lambda r: 1, s
         raise InputError(f"unknown preset {name!r}")
 
     m = re.fullmatch(r"sl\((\d+),([rch])\)", s)
@@ -267,7 +257,7 @@ def _preset_data(name: str):
         n, fld = int(m.group(1)), m.group(2)
         if n < 2:
             raise InputError("sl(n,.) needs n >= 2")
-        mult = {"r": Q(1), "c": Q(2), "h": Q(4)}[fld]
+        mult = {"r": 1, "c": 2, "h": 4}[fld]
         r = n - 1
         basis = tuple(unit(r, i) for i in range(r))
         return basis, _gram_from_edges(r, [(i, i + 1) for i in range(r - 1)]), lambda _: mult, s
@@ -281,11 +271,10 @@ def _preset_data(name: str):
             if p < 2:
                 raise InputError("so(p,p) needs p >= 2")
             simple, gram, _, _ = _preset_data(f"d{p}")
-            return simple, gram, lambda r: Q(1), s
+            return simple, gram, lambda r: 1, s
         # type B_p; the short roots e_i = a_i + ... + a_p, the positive roots
         # whose last simple-root coordinate is 1, carry multiplicity q - p
-        short = Q(q - p)
-        return _b_type_simple(p), identity(p), lambda c: short if c[-1] == 1 else Q(1), s
+        return _b_type_simple(p), identity(p), lambda c: q - p if c[-1] == 1 else 1, s
 
     raise InputError(f"unknown preset {name!r}")
 
@@ -339,7 +328,7 @@ def _custom_multiplicities(simple, A, pos, entries) -> dict:
     """{coordinates: multiplicity} for the positive roots pos and any 2*alpha
     entries, each given entry propagated over its W-orbit."""
     if not entries:
-        return {c: Q(1) for c in pos}
+        return {c: 1 for c in pos}
     if not isinstance(entries, list):
         raise InputError("multiplicities must be a list")
     to_coords = inverse(transpose(simple))
@@ -400,11 +389,12 @@ def _custom_multiplicities(simple, A, pos, entries) -> dict:
 def _finish(simple, gram, A, B, mults, label) -> RootSystem:
     """The root system whose positive roots are the coordinate tuples of
     mults, ordered by (height = coordinate sum, ambient root), once its
-    multiplicities and inner product pass the W-invariance checks."""
+    multiplicities and inner product pass the W-invariance checks.  The
+    ambient roots are ordered by their integer numerators over D > 0."""
     n = len(simple)
     D, S = cleared_rows(transpose(simple))
-    ambient = {c: tuple(Q(sum(map(mul, c, x)), D) for x in S) for c in mults}
-    ordered = sorted(mults, key=lambda c: (sum(c), ambient[c]))
+    num = {c: tuple(idot(c, x) for x in S) for c in mults}
+    ordered = sorted(mults, key=lambda c: (sum(c), num[c]))
     signed = {**mults, **{_neg(c): m for c, m in mults.items()}}
     cols = tuple(zip(*A))
     for j, a in enumerate(cols):
@@ -418,10 +408,13 @@ def _finish(simple, gram, A, B, mults, label) -> RootSystem:
         if any(a[i] * a[k] * B[j][j] - a[i] * B[j][k] - a[k] * B[i][j]
                for i in range(n) for k in range(n)):
             raise InputError("inner product is not W-invariant")
+    ambient = tuple(num[c] for c in ordered)
+    frac = {x: Q(x, D) for x in {x for row in ambient for x in row}}
     return RootSystem(rank=n, simple_roots=tuple(simple),
-                      pos_roots=tuple((ambient[c], mults[c]) for c in ordered),
+                      pos_roots=tuple((tuple(frac[x] for x in row), Q(mults[c]))
+                                      for c, row in zip(ordered, ambient)),
                       inner_product=gram, label=label,
-                      cartan=A, simple_gram=B, coords=tuple(ordered))
+                      cartan=A, simple_gram=B, coords=tuple(ordered), ambient=ambient)
 
 
 # -- derived data ----------------------------------------------------------
@@ -429,17 +422,19 @@ def _finish(simple, gram, A, B, mults, label) -> RootSystem:
 
 @memo("rho")
 def rho(R: RootSystem) -> Vec:
-    """Half sum of positive roots with multiplicities."""
-    acc = vzero(R.rank)
-    for r, m in R.pos_roots:
-        acc = vadd(acc, vscale(m, r))
-    return vscale(Q(1, 2), acc)
+    """Half sum of positive roots with multiplicities: the coordinates are
+    summed in ints, one sum per multiplicity, and meet the simple roots once."""
+    groups = {}
+    for c, (_, m) in zip(R.coords, R.pos_roots):
+        groups.setdefault(m, []).append(c)
+    sums = [tuple(map(sum, zip(*cs))) for cs in groups.values()]
+    return lincomb(lincomb([m / 2 for m in groups], sums), R.simple_roots)
 
 
 @memo("fundamental_weights")
 def fundamental_weights(R: RootSystem) -> tuple[Vec, ...]:
-    cols = transpose(inverse([matvec(R.inner_product, b) for b in R.simple_roots]))
-    return tuple(vscale(R.ip(b, b) / 2, c) for b, c in zip(R.simple_roots, cols))
+    """w_i = sum_k (A^-1)[i][k] a_k, since <w_i, a_j^vee> = delta_ij."""
+    return tuple(lincomb(row, R.simple_roots) for row in inverse(R.cartan))
 
 
 @memo("gram_images")
@@ -474,29 +469,33 @@ def dominant_descent(R: RootSystem, lam: Vec) -> tuple[Vec, tuple[int, ...]]:
     x = vec(lam)
     den, (P,) = cleared_rows([tuple(dot(x, ga) for ga in gram_images(R)[0])])
     C, scales = _descent_data(R)
-    shift = [0] * R.rank
-    word = []
+    word, shift = _descend(R, P, C)
+    if not word:
+        return x, ()
+    # s_i x = x - (2<x, a_i>/<a_i, a_i>) a_i
+    coeffs = [Q(t, den) * s for t, s in zip(shift, scales)]
+    return vsub(x, lincomb(coeffs, R.simple_roots)), tuple(word)
+
+
+def _descend(R: RootSystem, P, rows) -> tuple[list, list]:
+    """(word, shift): reflect at the first i with P[i] < 0, which adds P[i] to
+    shift[i] and subtracts P[i] * rows[i] from the pairings P, until none is."""
+    shift, word = [0] * R.rank, []
     for _ in range(10 * len(R.pos_roots) + 10):
         i = next((j for j, p in enumerate(P) if p < 0), None)
         if i is None:
-            break
-        # s_i x = x - (2<x, a_i>/<a_i, a_i>) a_i
+            return word, shift
         p = P[i]
         word.append(i)
         shift[i] += p
-        P = [q - p * c for q, c in zip(P, C[i])]
-    else:
-        raise InternalError("dominant descent failed to terminate")
-    if not word:
-        return x, ()
-    coeffs = [Q(t, den) * s for t, s in zip(shift, scales)]
-    return vsub(x, lincomb(coeffs, R.simple_roots)), tuple(word)
+        P = [q - p * c for q, c in zip(P, rows[i])]
+    raise InternalError("dominant descent failed to terminate")
 
 
 def _word_images(R: RootSystem, word) -> tuple:
     """The element s_{word[-1]} ... s_{word[0]} of W on the integer core: the
     simple-root coordinates of its images of a_1, ..., a_n."""
-    cols = _descent_data(R)[0]
+    cols = tuple(zip(*R.cartan))
     images = tuple(tuple(int(i == j) for i in range(R.rank)) for j in range(R.rank))
     for i in word:
         images = tuple(_reflect(cols, c, i) for c in images)
@@ -520,7 +519,7 @@ def _covector_matrix(R: RootSystem, images) -> Mat:
 def weyl_group(R: RootSystem, cap: int = WEYL_CAP_DEFAULT) -> tuple[Mat, ...]:
     """Every element of W as a matrix on covector coordinates, sorted; the
     breadth-first search over simple reflections runs on the integer core."""
-    cols = _descent_data(R)[0]
+    cols = tuple(zip(*R.cartan))
     frontier = [_word_images(R, ())]
     known = set(frontier)
     while frontier:
@@ -546,9 +545,10 @@ def dominant_representative(R: RootSystem, lam: Vec) -> tuple[Vec, Mat]:
 @memo("minus_w0")
 def _minus_w0(R: RootSystem) -> tuple:
     """-w0 on the integer core, as the columns Pi e_j; w0 carries the
-    antidominant -(sum of the fundamental weights) into the chamber."""
-    lam = tuple(-sum(x) for x in zip(*fundamental_weights(R)))
-    images = _word_images(R, dominant_descent(R, lam)[1])
+    antidominant -(sum of the fundamental weights) into the chamber.  Its
+    coroot pairings are all -1, and s_i moves coroot pairings through row i
+    of the Cartan matrix."""
+    images = _word_images(R, _descend(R, [-1] * R.rank, R.cartan)[0])
     w0 = tuple(zip(*images))
     if ({tuple(sum(map(mul, row, c)) for row in w0) for c in R.coords}
             != {_neg(c) for c in R.coords}):
@@ -594,40 +594,42 @@ def strongly_orthogonal_theta(R: RootSystem) -> tuple[tuple[Vec, ...], Vec]:
     every selected one, repeat.  Theta is half the sum of the selection (no
     multiplicities).  Reducible systems are handled factor by factor.
 
-    Roots are indices into pos_roots, compared by simple-root coordinates; a
-    subsystem's height is one integer functional h with h . s = 1 on its
-    simple roots s, and ties go to the larger ambient root.
+    Roots are indices into pos_roots, compared by simple-root coordinates;
+    heights are taken in the current subsystem, and ties go to the larger
+    ambient root, compared by its integer numerators.
     """
     coords, B = R.coords, R.simple_gram
     allroots = set(coords) | {_neg(c) for c in coords}
-    Bc = [tuple(sum(map(mul, row, c)) for row in B) for c in coords]
-
-    def strongly_orthogonal(k, best):
-        b, g = coords[k], coords[best]
-        return (sum(map(mul, b, Bc[best])) == 0
-                and tuple(map(add, b, g)) not in allroots
-                and tuple(map(sub, b, g)) not in allroots)
-
     remaining = list(range(len(coords)))
     selected = []
     while remaining:
-        rem = {coords[k] for k in remaining}
-        # indecomposables of the current subsystem are its simple roots
-        simp = [coords[k] for k in remaining
-                if not any(tuple(map(sub, coords[k], coords[g])) in rem for g in remaining)]
-        h, _ = solve(simp, (1,) * len(simp))
-        (h,) = cleared_rows([h])[1]
-        best = max(remaining, key=lambda k: (sum(map(mul, h, coords[k])), R.pos_roots[k][0]))
+        ht = _subsystem_heights([coords[k] for k in remaining])
+        best = max(remaining, key=lambda k: (ht[coords[k]], R.ambient[k]))
+        g = coords[best]
+        Bg = tuple(idot(row, g) for row in B)
         selected.append(R.pos_roots[best][0])
-        remaining = [k for k in remaining if strongly_orthogonal(k, best)]
+        remaining = [k for k in remaining
+                     if idot(coords[k], Bg) == 0
+                     and tuple(map(add, coords[k], g)) not in allroots
+                     and tuple(map(sub, coords[k], g)) not in allroots]
     return tuple(selected), vscale(Q(1, 2), lincomb((1,) * len(selected), selected))
+
+
+def _subsystem_heights(roots) -> dict:
+    """{root: height} in the subsystem whose positive roots, listed by height,
+    are roots: a sum of two earlier roots has the sum of their heights, and
+    an indecomposable root, a simple root of the subsystem, has height 1."""
+    ht = {}
+    for b in roots:
+        ht[b] = next((ht[g] + ht[d] for g in ht if (d := tuple(map(sub, b, g))) in ht), 1)
+    return ht
 
 
 # -- serialization ---------------------------------------------------------
 
 
 def _num_to_json(x: Q):
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def vec_to_json(v) -> list:
@@ -648,11 +650,12 @@ def vec_from_json(entries, rank: int, what: str) -> Vec:
 
 
 def root_system_to_json(R: RootSystem) -> dict:
+    roots = [{"root": vec_to_json(r), "m": _num_to_json(m)} for r, m in R.pos_roots]
     return {
         "label": R.label,
         "rank": R.rank,
         "simple_roots": [vec_to_json(r) for r in R.simple_roots],
-        "pos_roots": [{"root": vec_to_json(r), "m": _num_to_json(m)} for r, m in R.pos_roots],
-        "multiplicities": [{"root": vec_to_json(r), "m": _num_to_json(m)} for r, m in R.pos_roots],
+        "pos_roots": roots,
+        "multiplicities": roots,
         "inner_product": [vec_to_json(row) for row in R.inner_product],
     }

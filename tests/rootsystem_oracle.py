@@ -9,8 +9,9 @@ per root, W by a breadth-first search over simple-reflection matrices on
 covector coordinates, w0 and each dominant_representative element as the
 product of those matrices along the dominant descent, sigma by applying
 iota to each simple root and searching, iota on vectors as G iota G^-1,
-and the wall directions and invariant classes from the fundamental
-weights and that sigma.  Input validation runs in the package's order
+rho by summing the ambient roots one at a time, the fundamental weights
+by inverting the rows G a_j, and the wall directions and invariant
+classes from those weights and that sigma.  Input validation runs in the package's order
 (independence and pairings before the closure), and vectors in messages
 are printed with vec_to_json.
 """
@@ -18,12 +19,11 @@ are printed with vec_to_json.
 from fractions import Fraction as Q
 
 from weylgrowth.errors import InputError, InternalError
-from weylgrowth.rational import (dot, identity, is_positive_definite, mat, matmul,
-                                 matvec, primitive, rank as mat_rank, solve,
+from weylgrowth.rational import (dot, identity, inverse, is_positive_definite, mat,
+                                 matmul, matvec, primitive, rank as mat_rank, solve,
                                  solve_unique, transpose, vadd, vec_add_scaled,
                                  vscale, vsub, vzero)
-from weylgrowth.rootsystem import (_preset_data, dominant_descent,
-                                   fundamental_weights, json_rows,
+from weylgrowth.rootsystem import (_preset_data, dominant_descent, json_rows,
                                    vec_from_json, vec_to_json)
 
 
@@ -204,29 +204,57 @@ def build(spec):
     return simple, G, ordered, hts, label
 
 
+def rho(R):
+    """Half sum of positive roots with multiplicities, one root at a time."""
+    acc = vzero(R.rank)
+    for r, m in R.pos_roots:
+        acc = vadd(acc, vscale(m, r))
+    return vscale(Q(1, 2), acc)
+
+
+def fundamental_weights(R):
+    """w_i = (<a_i, a_i>/2) c_i for c_i column i of the inverse of the rows G a_j."""
+    cols = transpose(inverse([matvec(R.inner_product, b) for b in R.simple_roots]))
+    return tuple(vscale(_ip(R.inner_product, b, b) / 2, c)
+                 for b, c in zip(R.simple_roots, cols))
+
+
+def gram_images(R):
+    """(G a_i, G w_i) for the simple roots and the fundamental weights above."""
+    G = R.inner_product
+    return (tuple(matvec(G, a) for a in R.simple_roots),
+            tuple(matvec(G, w) for w in fundamental_weights(R)))
+
+
+def root_set(R):
+    """All roots, positive and negative."""
+    pos = [r for r, _ in R.pos_roots]
+    return frozenset(pos) | frozenset(tuple(-x for x in r) for r in pos)
+
+
+def subsystem_heights(roots):
+    """{root: height} in the subsystem with positive roots roots, one solve per
+    root over its indecomposables, its simple roots."""
+    rem = set(roots)
+    simp = [b for b in roots if not any(g != b and vsub(b, g) in rem for g in roots)]
+    cols = transpose(mat(simp))
+    return {r: sum(solve(cols, r)[0]) for r in roots}
+
+
+def strongly_orthogonal(R, b, g, allroots):
+    return R.ip(b, g) == 0 and vadd(b, g) not in allroots and vsub(b, g) not in allroots
+
+
 def theta(R):
     """(selected, Theta) by the cascade with one solve per root for sub-heights."""
-    allroots = R.root_set()
-
-    def strongly_orthogonal(b, g):
-        return (R.ip(b, g) == 0 and vadd(b, g) not in allroots
-                and vsub(b, g) not in allroots)
-
+    allroots = root_set(R)
     remaining = [r for r, _ in R.pos_roots]
     selected = []
     while remaining:
-        rem = set(remaining)
-        simp = [b for b in remaining
-                if not any(g != b and vsub(b, g) in rem for g in remaining)]
-        cols = transpose(mat(simp))
-
-        def sub_height(r, cols=cols):
-            c, _ = solve(cols, r)
-            return sum(c)
-
-        best = max(remaining, key=lambda r: (sub_height(r), r))
+        ht = subsystem_heights(remaining)
+        best = max(remaining, key=lambda r: (ht[r], r))
         selected.append(best)
-        remaining = [b for b in remaining if strongly_orthogonal(b, best)]
+        remaining = [b for b in remaining if strongly_orthogonal(R, b, best, allroots)]
     t = vzero(R.rank)
     for r in selected:
         t = vadd(t, r)

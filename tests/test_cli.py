@@ -1,6 +1,7 @@
 """End-to-end CLI runs: output shapes, frozen fixture values, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -71,6 +72,35 @@ def test_rootsys_json(capsys):
     assert obj["Theta"] == [1, 0]
     assert obj["iota_permutation"] == {"1": 1, "2": 2}
     assert len(obj["pos_roots"]) == 4
+
+
+# sha256 of the stdout of rootsys --preset X, as text and with --json; the
+# cli benchmark pool covers ranks 2-6 only.  CI checks the e8 --json digest
+# against the installed entry point.
+ROOTSYS_DIGESTS = {
+    "e7": ("fd376a9b53c1c1beb64dd0226445b7d7141878a6fc93e4b07c0aef32e8b6f0b6",
+           "bfcdf17cde7829c401c26cd3ea6d1da8d7984db2e644f00dd07792ebe706060a"),
+    "e8": ("23b221fab89567ef142a2253e91a6cb8c6d73e4b4cb5a79a5da641e007063231",
+           "62073e74646d3bfff982582bd62854d591836debb07bf9e9ed2c32bceff6df0a"),
+    "a8": ("d429f4ae50fd303f54ebf246bbe7344d0eb79862ccb0ab9dfa478248064cae60",
+           "6b0c2e7b91f0b77a12c7804f89fe442b367d589bfc0b509cc55b0fad7a305dca"),
+    "b8": ("84e0b661c3ba1c91afd28d312097ade4310b3f8f0064e01b5fb00d1edb315341",
+           "ff465e90e1648624206dc378091264698824e39ed682b88e05d67f35ea4359fc"),
+    "d8": ("5574211327b001418357cdebb096093b9bb3d16595009ad56dec73d8f51dbe74",
+           "a0aad26590a7d4835855dddb26a54b07464d8fd317b92202ce4eec82519d5171"),
+    "so(3,9)": ("b3c5c0ff13bc159f663113e9806d71823c9dab14e5f69d8ef8b2f3e0106d48b6",
+                "90e4b028ca7adf419ea3f12775b11c3d3ba55aad17474cd922737de035b57627"),
+    "sl(5,h)": ("da49b86435a36be8ae52195dfd4fcf8a2894a8d4dd6606f21c3c7d2db8b85f2c",
+                "de6a929b998e63611553e5fe4dbeb384d80de9100ed8aedc60a9ad441a1ac598"),
+}
+
+
+@pytest.mark.parametrize("preset", ROOTSYS_DIGESTS)
+def test_rootsys_output_is_pinned(capsys, preset):
+    for flags, want in zip(([], ["--json"]), ROOTSYS_DIGESTS[preset]):
+        code, out, err = run(capsys, ["rootsys", "--preset", preset, *flags])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == want, flags
 
 
 def test_unknown_preset_is_input_error(capsys):
@@ -147,6 +177,45 @@ def test_growth_solve_zero_simple_root_exits_2(tmp_path, simple):
     assert proc.returncode == 2, proc.stderr
     assert "simple roots are not linearly independent" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _scaled_a1a1_model(tmp_path, scale, piece):
+    """A1 x A1 with first simple root (scale, 0), the cone on (1, 0) and one
+    piece: delta' = scale / 2 for the piece (scale, 0), -scale / 2 for (1, 0)."""
+    model = tmp_path / "scaled.json"
+    model.write_text(json.dumps({"root_system": {"simple_roots": [[scale, 0], [0, 1]]},
+                                 "cone": {"generators": [[1, 0]]}, "pieces": [piece]}))
+    return str(model)
+
+
+# below 1, the piece (1, 0) exceeds twice the half sum
+@pytest.mark.parametrize("scale, positive",
+                         [(s, True) for s in ("1e160", "1e200", "1e-160", "1e-200")]
+                         + [("1e160", False), ("1e200", False)])
+def test_growth_solve_norm_outside_the_doubles(capsys, tmp_path, scale, positive):
+    # |v|^2 is a subnormal, a zero or an overflow as a float, while delta',
+    # v'_Gamma and mu_Gamma are doubles: the square root is taken of a
+    # rescaled norm (the exit was 1 with a ZeroDivisionError or an
+    # OverflowError, and 1e160 gave delta' 5.00003e159 and v'_Gamma 1.0000056)
+    model = _scaled_a1a1_model(tmp_path, scale, [scale, 0] if positive else [1, 0])
+    code, out, err = run(capsys, ["growth-solve", model, "--consistency"])
+    assert (code, err) == (0, "")
+    rep = json.loads(out)
+    half = float(scale) / 2
+    assert math.isclose(rep["delta_prime"], half if positive else -half, rel_tol=1e-15)
+    assert rep["v_gamma"] == [1.0, 0.0]
+    if positive:
+        assert math.isclose(rep["mu_gamma"][0], half, rel_tol=1e-15)
+        assert rep["theta"] == {"omega_1": 1.0, "omega_2": math.inf}
+
+
+@pytest.mark.parametrize("positive", [True, False])
+def test_growth_solve_value_beyond_the_doubles_exits_2(capsys, tmp_path, positive):
+    # delta' = +-5e399 has no float
+    model = _scaled_a1a1_model(tmp_path, "1e400", ["1e400", 0] if positive else [1, 0])
+    code, out, err = run(capsys, ["growth-solve", model])
+    assert (code, out) == (2, "")
+    assert err == "input error: a critical value lies beyond the float range\n"
 
 
 def test_growth_solve_error_codes(capsys, tmp_path, b2_models):

@@ -7,7 +7,7 @@ import pytest
 
 from weylgrowth import cli, polyhedra
 from weylgrowth.cones import dominant_cone, poly_cone
-from weylgrowth.critical import (CriticalData, _direction, _route_a,
+from weylgrowth.critical import (CriticalData, _floats, _route_a,
                                  covector_norm_sq, critical_data, critical_report,
                                  solve_mu_gamma_minimization, theta_mu,
                                  vector_norm_sq)
@@ -68,7 +68,7 @@ def test_zero_exponent_direction_is_first_limit_cone_ray():
     ray = modified_limit_cone(G).generators[0]
     assert ray == vec([1, 1])
     v = critical_data(G).v_gamma
-    assert v == _direction(R, ray)
+    assert v == _floats(ray, vector_norm_sq(R, ray))
     assert all(abs(c - 1 / math.sqrt(2)) < 1e-15 for c in v)
 
 

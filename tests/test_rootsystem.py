@@ -85,6 +85,16 @@ def test_cache_is_indexed_only_inside_memo():
     assert offenders == []
 
 
+def test_irreducible_components():
+    cases = {"a3": [[0, 1, 2]], "e8": [list(range(8))], "d2": [[0], [1]]}
+    for name, comps in cases.items():
+        assert build_root_system(name).irreducible_components() == comps, name
+    a2a1 = {"simple_roots": [[1, -1, 0, 0], [0, 0, 1, 0], [0, 1, -1, 0], [0, 0, 0, 1]]}
+    assert build_root_system(a2a1).irreducible_components() == [[0, 1, 2], [3]]
+    a1b2 = {"simple_roots": [[1, 0, 0], [0, 1, -1], [0, 0, 1]]}
+    assert build_root_system(a1b2).irreducible_components() == [[0], [1, 2]]
+
+
 def test_custom_a1():
     R = build_root_system({"simple_roots": [[1]]})
     assert R.pos_roots == ((vec([1]), Q(1)),)
@@ -181,7 +191,7 @@ def test_theta_selection_strongly_orthogonal():
     for name in ("a3", "b3", "g2", "d4", "so(2,6)"):
         R = build_root_system(name)
         sel, _ = strongly_orthogonal_theta(R)
-        roots = R.root_set()
+        roots = oracle.root_set(R)
         for i, b in enumerate(sel):
             for g in sel[i + 1:]:
                 assert R.ip(b, g) == 0
@@ -309,10 +319,20 @@ def test_integer_core_matches_fraction_oracle(spec):
     simple, G, pos_roots, heights, label = oracle.build(spec)
     assert R.label == label
     assert R.cartan == oracle.cartan(simple, G)
+    for name in ("rho", "fundamental_weights", "gram_images"):
+        assert repr(getattr(rootsystem, name)(R)) == repr(getattr(oracle, name)(R)), name
     assert R.pos_roots == pos_roots
     assert [lincomb(c, simple) for c in R.coords] == [r for r, _ in pos_roots]
     assert {r: sum(c) for (r, _), c in zip(R.pos_roots, R.coords)} == heights
     assert strongly_orthogonal_theta(R) == oracle.theta(R)
+    # the subsystem heights at every cascade step equal the solves
+    amb = {c: r for c, (r, _) in zip(R.coords, R.pos_roots)}
+    remaining, allroots = list(R.coords), oracle.root_set(R)
+    for top in strongly_orthogonal_theta(R)[0]:
+        assert rootsystem._subsystem_heights(remaining) == oracle.subsystem_heights(remaining)
+        remaining = [c for c in remaining
+                     if oracle.strongly_orthogonal(R, amb[c], top, allroots)]
+    assert remaining == []
     assert opposition_involution(R) == oracle.iota(R)
     assert iota_permutation(R) == oracle.iota_permutation(R)
     assert iota_vector_matrix(R) == oracle.iota_vector_matrix(R)
@@ -363,14 +383,15 @@ def test_zero_simple_root_is_rejected():
 
 
 def test_bounds_runs_the_cascade_once(monkeypatch):
-    # one solve per cascade step, and bound_wall_avoided reads the memoised cascade
+    # one subsystem height table per cascade step, and bound_wall_avoided
+    # reads the memoised cascade
     steps = len(strongly_orthogonal_theta(build_root_system("f4"))[0])
     calls = []
-    real = rootsystem.solve
+    real = rootsystem._subsystem_heights
 
     def counted(*args):
         calls.append(args)
         return real(*args)
-    monkeypatch.setattr(rootsystem, "solve", counted)
+    monkeypatch.setattr(rootsystem, "_subsystem_heights", counted)
     assert cli.main(["bounds", "--preset", "f4"]) == 0
     assert len(calls) == steps == 4
