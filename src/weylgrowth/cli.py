@@ -266,9 +266,7 @@ def cmd_orbit(args, cfg) -> int:
     out = {"points": len(S.points), "dropped": S.dropped, "rank": S.rank,
            "max_word_length": max((wl for _, wl in S.points), default=0)}
     if args.radius_cut is not None:
-        cone = empirical_limit_cone(S, args.radius_cut)
-        out["cone_generators"] = [[float(x) for x in g]
-                                  for g in cone.generators]
+        out["cone_generators"] = empirical_limit_cone(S, args.radius_cut).generators
     if args.mu is not None:
         # one entry per matrix dimension
         out["exponent"] = estimate_exponent(

@@ -40,7 +40,9 @@ class PolyCone:
     halfspaces: tuple of covectors h with the cone = {v : h(v) >= 0},
     or None. At least one of the two is always present. The open flag
     marks cones whose membership is meant strictly (the closure is what
-    the two representations describe).
+    the two representations describe).  Entries are exact rationals, except
+    that orbits.empirical_limit_cone returns float generators, an estimate
+    from a float sample.
     """
 
     rank: int

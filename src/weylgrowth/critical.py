@@ -90,10 +90,10 @@ def _nonpositive_sup(G: GrowthIndicator):
     homogeneity the supremum is -1/|w| for its vertex w of largest norm.
     """
     R = G.root_system
-    rays = recession_rays(G, True)
+    rays = recession_rays(G)
     if rays:
         return 0.0, _floats(rays[0], vector_norm_sq(R, rays[0]))
-    w = max(growth_polytope_vertices(G, True, -1),
+    w = max(growth_polytope_vertices(G, -1),
             key=lambda x: vector_norm_sq(R, x))
     nsq = vector_norm_sq(R, w)
     return _floats((-1,), nsq)[0], _floats(w, nsq)
@@ -128,7 +128,7 @@ def solve_mu_gamma_minimization(G: GrowthIndicator):
     """
     R = G.root_system
     n = R.rank
-    verts = growth_polytope_vertices(G, True)
+    verts = growth_polytope_vertices(G, 1)
     if not verts:
         return vzero(n)
     us = dominant_iota_classes(R)
@@ -200,7 +200,9 @@ def critical_report(G: GrowthIndicator) -> dict:
     theta = {}
     for i, w in enumerate(fundamental_weights(R), start=1):
         t = theta_mu(cd.mu_gamma_exact, w, R)
-        theta[f"omega_{i}"] = _floats((t,))[0]
+        # a string, as in the per-mu exponent table: json.dumps would
+        # print a bare Infinity, which is not JSON
+        theta[f"omega_{i}"] = "inf" if t == math.inf else _floats((t,))[0]
     delta = cd.delta_prime_max
     return {"delta_prime": delta if math.isfinite(delta) else "-inf",
             "v_gamma": list(cd.v_gamma) if cd.v_gamma is not None else None,

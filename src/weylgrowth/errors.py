@@ -32,7 +32,8 @@ class ModelInvariantError(ValueError):
 
 
 class CheckFailure(AssertionError):
-    """A verified identity failed (consistency mode or a genuine defect).  Exit 1."""
+    """A verified identity failed (a `growth-solve --consistency` gate, a
+    check suite, or a genuine defect).  Exit 1."""
 
 
 class InternalError(RuntimeError):

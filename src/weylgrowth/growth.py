@@ -9,6 +9,7 @@ data per model: the vertices of the level sets {psi' >= 1} and
 {psi' >= 0}, which is also the closed positive-growth cone.
 """
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -166,38 +167,37 @@ def evaluate_modified(G: GrowthIndicator, v):
 
 def modified_limit_cone(G: GrowthIndicator) -> PolyCone:
     """The open subcone where psi' > 0, returned via its closure."""
-    rows, _ = super_level_rows(G, True, 0)
-    return PolyCone(rank=G.root_system.rank, generators=recession_rays(G, True),
+    rows, _ = super_level_rows(G, 0)
+    return PolyCone(rank=G.root_system.rank, generators=recession_rays(G),
                     halfspaces=tuple(rows), open_flag=True)
 
 
-def super_level_rows(G: GrowthIndicator, modified=True, level=1):
-    """(A, b) with {v in cone : each piece (minus rho) >= level} = {A v >= b}."""
+def super_level_rows(G: GrowthIndicator, level=1):
+    """(A, b) with {v in cone : each piece minus rho >= level} = {A v >= b}."""
     r = rho(G.root_system)
-    rows = list(G.cone.halfspaces) + [vsub(p, r) if modified else p
-                                      for p in G.pieces]
+    rows = list(G.cone.halfspaces) + [vsub(p, r) for p in G.pieces]
     return rows, [Q(0)] * len(G.cone.halfspaces) + [Q(level)] * len(G.pieces)
 
 
 @memo("growth_polytope_vertices")
-def growth_polytope_vertices(G: GrowthIndicator, modified=True, level=1):
-    """Vertices of {v in cone : each piece (minus rho) >= level}, cached;
+def growth_polytope_vertices(G: GrowthIndicator, level):
+    """Vertices of {v in cone : each piece minus rho >= level}, cached;
     the cone lies in the chamber, so a nonempty level set has one."""
-    return vertices_of_polyhedron(*super_level_rows(G, modified, level))
+    return vertices_of_polyhedron(*super_level_rows(G, level))
 
 
 @memo("recession_rays")
-def recession_rays(G: GrowthIndicator, modified=True):
-    """Extreme rays of K = {v in cone : each piece (minus rho) >= 0}, cached.
+def recession_rays(G: GrowthIndicator):
+    """Extreme rays of K = {v in cone : each piece minus rho >= 0}, cached.
 
     A nonempty level set is the convex hull of its vertices plus K."""
-    rows, _ = super_level_rows(G, modified, 0)
+    rows, _ = super_level_rows(G, 0)
     return tuple(extreme_rays(rows, G.root_system.rank))
 
 
 def modified_cone_nonempty(G: GrowthIndicator) -> bool:
     """Exact: is there v in the cone with psi'(v) > 0?"""
-    return bool(growth_polytope_vertices(G, True))
+    return bool(growth_polytope_vertices(G, 1))
 
 
 @dataclass(frozen=True)
@@ -219,8 +219,8 @@ class DeltaPrime:
     certificate: tuple | None = None
 
 
-def delta_prime(G: GrowthIndicator, mu, modified=True) -> DeltaPrime:
-    """sup over the cone of (psi - rho)(v) / mu(v) (or psi/mu), exact.
+def delta_prime(G: GrowthIndicator, mu) -> DeltaPrime:
+    """sup over the cone of (psi - rho)(v) / mu(v), exact.
 
     Reads the cached vertices V of {psi' >= 1} and rays of their
     recession cone K. With V nonempty the supremum is infinite when mu
@@ -232,8 +232,8 @@ def delta_prime(G: GrowthIndicator, mu, modified=True) -> DeltaPrime:
     mu = vec(mu)
     if is_zero(mu):
         raise InputError("the weighting functional must be nonzero")
-    verts = growth_polytope_vertices(G, modified)
-    rays = recession_rays(G, modified)
+    verts = growth_polytope_vertices(G, 1)
+    rays = recession_rays(G)
     if verts:
         w = min(verts, key=lambda x: dot(mu, x))
         m = dot(mu, w)
@@ -251,7 +251,7 @@ def delta_prime(G: GrowthIndicator, mu, modified=True) -> DeltaPrime:
         if dot(mu, r) > 0:
             return DeltaPrime(value=Q(0), status="nonpositive",
                               witness=vscale(1 / dot(mu, r), r))
-    w = max(growth_polytope_vertices(G, modified, -1), key=lambda x: dot(mu, x))
+    w = max(growth_polytope_vertices(G, -1), key=lambda x: dot(mu, x))
     m = dot(mu, w)
     if m <= 0:
         return DeltaPrime(value=NEG_INF, status="nonpositive")
@@ -378,15 +378,15 @@ def growth_model_from_json(obj: dict) -> GrowthIndicator:
     return build_growth_model(R, cone, pieces)
 
 
-def delta_prime_report(G: GrowthIndicator, mu, modified=True) -> dict:
-    """JSON-ready report {delta_prime, witness, status}."""
-    dp = delta_prime(G, mu, modified=modified)
-    if dp.value == POS_INF:
-        value = "inf"
-    elif dp.value == NEG_INF:
-        value = "-inf"
-    else:
+def delta_prime_report(G: GrowthIndicator, mu) -> dict:
+    """JSON-ready report {delta_prime, witness, status}; an infinite value
+    reads "inf" or "-inf", and a finite one beyond the doubles is an
+    InputError."""
+    dp = delta_prime(G, mu)
+    try:
         value = float(dp.value)
-    return {"delta_prime": value,
-            "witness": to_float(dp.witness) if dp.witness else None,
-            "status": dp.status}
+        witness = to_float(dp.witness) if dp.witness else None
+    except OverflowError:
+        raise InputError("a critical value lies beyond the float range") from None
+    return {"delta_prime": value if math.isfinite(value) else str(value),
+            "witness": witness, "status": dp.status}

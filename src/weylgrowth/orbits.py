@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cones import poly_cone
+from .cones import PolyCone
 from .errors import ORBIT_CAP_DEFAULT, CapExceeded, InputError
 
 DEDUPE_TOL_DEFAULT = 1e-6
@@ -296,7 +296,8 @@ def empirical_limit_cone(S: CartanSample, radius_cut: float):
     Keeps the points with norm at least radius_cut, normalizes them, and
     returns the extreme directions among them in sample order: those whose
     points on the slice <rho, d> = 1 are vertices of the slice points'
-    convex hull (see _extreme_directions).
+    convex hull (see _extreme_directions).  The generators are float
+    tuples, with -0.0 folded into 0.0.
     """
     if not math.isfinite(radius_cut):
         raise InputError(f"the radius cut must be finite, got {radius_cut}")
@@ -308,8 +309,8 @@ def empirical_limit_cone(S: CartanSample, radius_cut: float):
                          "enumerate with a larger max_word_length")
     D = P[far] / r[far, None]
     kept = _extreme_directions(D)
-    return poly_cone(generators=tuple(map(tuple, D[kept].tolist())),
-                     rank=S.rank + 1)
+    return PolyCone(rank=S.rank + 1,
+                    generators=tuple(map(tuple, (D[kept] + 0.0).tolist())))
 
 
 # an axis of the slice points' affine hull counts when some point lies

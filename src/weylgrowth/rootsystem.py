@@ -20,7 +20,6 @@ simple roots.
 from __future__ import annotations
 
 import functools
-import inspect
 import re
 from operator import add, mul, sub
 from dataclasses import dataclass, field
@@ -54,26 +53,19 @@ WEYL_CAP_DEFAULT = 2**20
 
 
 def memo(name):
-    """Memoise fn(obj, *args, **kw) in obj._cache, the one cache mechanism.
+    """Memoise fn(obj, *args) in obj._cache, the one cache mechanism.
 
-    The key is name for a function of obj alone, else (name, *the other
-    arguments bound to fn's signature with defaults applied), so f(G) and
-    f(G, modified=True) share one entry.  Cached values are immutable
-    derived data shared by every caller; a call that raises caches nothing.
+    The key is name for a function of obj alone, else (name, *args); the
+    arguments are positional only, so one call has one key.  Cached values
+    are immutable derived data shared by every caller; a call that raises
+    caches nothing.
     """
     def decorate(fn):
-        sig = inspect.signature(fn)
-        bare = len(sig.parameters) == 1
-
         @functools.wraps(fn)
-        def cached(obj, *args, **kw):
-            key = name
-            if args or kw or not bare:
-                bound = sig.bind(obj, *args, **kw)
-                bound.apply_defaults()
-                key = (name, *tuple(bound.arguments.values())[1:])
+        def cached(obj, *args):
+            key = (name, *args) if args else name
             if key not in obj._cache:
-                obj._cache[key] = fn(obj, *args, **kw)
+                obj._cache[key] = fn(obj, *args)
             return obj._cache[key]
         return cached
     return decorate
@@ -516,9 +508,11 @@ def _covector_matrix(R: RootSystem, images) -> Mat:
 
 
 @memo("weyl_group")
-def weyl_group(R: RootSystem, cap: int = WEYL_CAP_DEFAULT) -> tuple[Mat, ...]:
+def weyl_group(R: RootSystem) -> tuple[Mat, ...]:
     """Every element of W as a matrix on covector coordinates, sorted; the
-    breadth-first search over simple reflections runs on the integer core."""
+    breadth-first search over simple reflections runs on the integer core
+    and stops past WEYL_CAP_DEFAULT elements."""
+    cap = WEYL_CAP_DEFAULT
     cols = tuple(zip(*R.cartan))
     frontier = [_word_images(R, ())]
     known = set(frontier)

@@ -375,7 +375,7 @@ def deduce_onewall(G, alpha) -> dict:
         # its rays does.
         slack = vsub(mu, vscale(theta, u))
         premise = any(dot(slack, r) == 0 and dot(u, r) > 0
-                      for r in recession_rays(G, True))
+                      for r in recession_rays(G))
 
     conclusion = nonneg_multiple_of(mu, u)
     dp = delta_prime(G, u)
@@ -482,8 +482,7 @@ def bound_wall_avoided(R: RootSystem, alpha):
     return best, vec_add_scaled(rho(R), best, u)
 
 
-def check_psilinear(G, samples: int = 200, seed: int = 0,
-                    consistency: bool = False) -> dict:
+def check_psilinear(G, samples: int = 200, seed: int = 0) -> dict:
     """Linearity of the model on the subcone the critical functional charges.
 
     The index set collects the simple roots with which mu pairs
@@ -491,8 +490,8 @@ def check_psilinear(G, samples: int = 200, seed: int = 0,
     invariant weight vectors the model should equal mu plus the half
     sum; sample points outside the model cone are counted separately.
     The inequality half (modified model at most mu everywhere on the
-    cone) is certified exactly and unconditionally.  consistency=True
-    turns equality failures into CheckFailure.
+    cone) is certified exactly and unconditionally; the report counts
+    equality failures and leaves their verdict to the caller.
 
     Each sample is an integer weight vector over the generators, and the
     halfspaces, the pieces and mu + rho are cleared integer tables of
@@ -530,17 +529,13 @@ def check_psilinear(G, samples: int = 200, seed: int = 0,
                 outside += 1
             elif min(idot(x, p) for p in pieces) != idot(x, linear):
                 failures += 1
-    report = {
+    return {
         "index_set": idx,
         "samples": taken,
         "equality_failures": failures,
         "outside_cone": outside,
         "tent_certified": bool(tent),
-        "mode": "consistency" if consistency else "report",
     }
-    if consistency and (failures or not tent):
-        raise CheckFailure(f"linearity on the charged subcone failed: {report}")
-    return report
 
 
 # -- closed-form table -------------------------------------------------------
@@ -708,13 +703,11 @@ _LEMMA_RUNNERS = {
 }
 
 
-def run_lemma_check(lemma: str, preset, samples: int = 1000, seed: int = 0,
-                    mode: str = "report") -> dict:
+def run_lemma_check(lemma: str, preset, samples: int = 1000, seed: int = 0) -> dict:
     """Batch property run for one named identity over one preset.
 
-    Returns {lemma, preset, samples, failures, mode}.  mode
-    "consistency" raises CheckFailure on any recorded failure; "report"
-    just counts.  preset may be a name or a built system.
+    Returns {lemma, preset, samples, failures}; the caller decides what a
+    recorded failure means.  preset may be a name or a built system.
     """
     _check_samples(samples)
     R = preset if isinstance(preset, RootSystem) else build_root_system(preset)
@@ -724,8 +717,5 @@ def run_lemma_check(lemma: str, preset, samples: int = 1000, seed: int = 0,
         raise InputError(f"unknown lemma check {lemma!r}; "
                          f"choose from {sorted(_LEMMA_RUNNERS)}") from None
     count, failures = runner(R, samples, seed)
-    report = {"lemma": lemma, "preset": R.label, "samples": count,
-              "failures": failures, "mode": mode}
-    if mode == "consistency" and failures:
-        raise CheckFailure(f"{lemma} recorded {len(failures)} failures on {R.label}")
-    return report
+    return {"lemma": lemma, "preset": R.label, "samples": count,
+            "failures": failures}

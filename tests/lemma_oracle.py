@@ -197,7 +197,7 @@ def tent_check(G, mu_samples, slack=Q(0), seed=0):
             "passed": not failures}
 
 
-def check_psilinear(G, samples=200, seed=0, consistency=False):
+def check_psilinear(G, samples=200, seed=0):
     """verify.check_psilinear with each sample a Fraction vector."""
     verify._check_samples(samples)
     R = G.root_system
@@ -224,14 +224,10 @@ def check_psilinear(G, samples=200, seed=0, consistency=False):
                 outside += 1
             elif val != dot(mu, v) + dot(rh, v):
                 failures += 1
-    report = {
+    return {
         "index_set": idx,
         "samples": taken,
         "equality_failures": failures,
         "outside_cone": outside,
         "tent_certified": bool(tent),
-        "mode": "consistency" if consistency else "report",
     }
-    if consistency and (failures or not tent):
-        raise CheckFailure(f"linearity on the charged subcone failed: {report}")
-    return report

@@ -200,13 +200,13 @@ def test_growth_solve_norm_outside_the_doubles(capsys, tmp_path, scale, positive
     model = _scaled_a1a1_model(tmp_path, scale, [scale, 0] if positive else [1, 0])
     code, out, err = run(capsys, ["growth-solve", model, "--consistency"])
     assert (code, err) == (0, "")
-    rep = json.loads(out)
+    rep = strict_json(out)
     half = float(scale) / 2
     assert math.isclose(rep["delta_prime"], half if positive else -half, rel_tol=1e-15)
     assert rep["v_gamma"] == [1.0, 0.0]
     if positive:
         assert math.isclose(rep["mu_gamma"][0], half, rel_tol=1e-15)
-        assert rep["theta"] == {"omega_1": 1.0, "omega_2": math.inf}
+        assert rep["theta"] == {"omega_1": 1.0, "omega_2": "inf"}
 
 
 @pytest.mark.parametrize("positive", [True, False])
@@ -216,6 +216,46 @@ def test_growth_solve_value_beyond_the_doubles_exits_2(capsys, tmp_path, positiv
     code, out, err = run(capsys, ["growth-solve", model])
     assert (code, out) == (2, "")
     assert err == "input error: a critical value lies beyond the float range\n"
+
+
+@pytest.mark.parametrize("piece", [["7/5", "7/5"], [1, 1]])
+def test_growth_solve_exponent_table_beyond_the_doubles_exits_2(capsys, tmp_path, piece):
+    # on the a2 chamber, mu = (1e-400, 1e-400) gives the piece (7/5, 7/5) a
+    # delta'_mu and a witness near 1e400; the piece rho = (1, 1) gives
+    # delta'_mu 0 and such a witness alone (both exited 1 with an
+    # OverflowError traceback)
+    model = tmp_path / "a2.json"
+    model.write_text(json.dumps({"root_system": "a2",
+                                 "cone": {"generators": [[1, 0], [0, 1]]},
+                                 "pieces": [piece]}))
+    code, out, err = run(capsys, ["growth-solve", str(model), "--mu", "1e-400,1e-400"])
+    assert (code, out) == (2, "")
+    assert err == "input error: a critical value lies beyond the float range\n"
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """json.loads without Python's NaN and Infinity extension."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
+def test_growth_solve_prints_strict_json_for_an_infinite_theta(capsys, tmp_path):
+    # on the reducible d2 = so(2,2), mu_Gamma charges both chamber rays and
+    # each fundamental weight vanishes on one of them, so theta is infinite
+    # against each (printed as a bare Infinity, which is not JSON)
+    model = tmp_path / "d2.json"
+    model.write_text(json.dumps({"root_system": "d2",
+                                 "cone": {"halfspaces": [[1, -1], [1, 1]]},
+                                 "pieces": [[2, 0]]}))
+    code, out, err = run(capsys, ["growth-solve", str(model), "--mu", "0,1",
+                                  "--consistency"])
+    assert (code, err) == (0, "")
+    rep = strict_json(out)
+    assert rep["theta"] == {"omega_1": "inf", "omega_2": "inf"}
+    assert rep["delta_prime_mu"][0]["delta_prime"] == "inf"
 
 
 def test_growth_solve_error_codes(capsys, tmp_path, b2_models):
@@ -416,7 +456,7 @@ def test_check_counts_below_one_are_input_errors(capsys, argv, flag):
 def test_check_failure_maps_to_exit_1(capsys, monkeypatch):
     def fake(lemma, preset, samples, seed):
         return {"lemma": lemma, "preset": preset, "samples": samples,
-                "failures": [("bad", "sample")], "mode": "report"}
+                "failures": [("bad", "sample")]}
     monkeypatch.setattr(cli, "run_lemma_check", fake)
     code, _, err = run(capsys, ["check", "--suite", "lemmas"])
     assert code == 1 and "check failure" in err

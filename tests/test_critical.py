@@ -193,7 +193,7 @@ def test_route_agreement_random_models():
             mu_b = solve_mu_gamma_minimization(G)
             v_star = _route_a(G)["v_exact"]
             assert mu_b == cd.mu_gamma_exact
-            assert min(dot(mu_b, w) for w in growth_polytope_vertices(G)) == 1
+            assert min(dot(mu_b, w) for w in growth_polytope_vertices(G, 1)) == 1
             assert evaluate_modified(G, v_star) >= 1
             assert dot(mu_b, v_star) == 1
             assert covector_norm_sq(R, mu_b) * vector_norm_sq(R, v_star) == 1

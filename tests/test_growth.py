@@ -12,6 +12,7 @@ from weylgrowth.errors import CheckFailure, InputError, ModelInvariantError
 from weylgrowth.growth import (
     NEG_INF,
     POS_INF,
+    GrowthIndicator,
     build_growth_model,
     delta_prime,
     delta_prime_report,
@@ -46,6 +47,15 @@ def two_rho_model(R=None):
 def rho_model(R=None):
     R = R or so25()
     return build_growth_model(R, dominant_cone(R), [rho(R)])
+
+
+def unmodified(G):
+    """G with every piece raised by rho: its delta_prime is the unmodified
+    exponent sup psi/mu of G, and its super-level rows are those of psi.
+    Built directly, since psi + rho may exceed 2 rho."""
+    r = rho(G.root_system)
+    return GrowthIndicator(root_system=G.root_system, cone=G.cone,
+                           pieces=tuple(vadd(p, r) for p in G.pieces))
 
 
 def test_evaluate_examples():
@@ -213,13 +223,16 @@ def test_modified_limit_cone():
     assert set(modified_limit_cone(G3).generators) == {vec([1, 0]), vec([1, 1])}
 
 
-def test_cache_key_ignores_default_spelling():
+def test_cache_key_is_one_per_level():
     G = two_rho_model()
-    verts = growth_polytope_vertices(G)
-    assert growth_polytope_vertices(G, True) is verts
-    assert growth_polytope_vertices(G, modified=True) is verts
-    assert growth_polytope_vertices(G, level=1) is verts
-    assert list(G._cache) == [("growth_polytope_vertices", True, 1)]
+    verts = growth_polytope_vertices(G, 1)
+    assert growth_polytope_vertices(G, 1) is verts
+    assert growth_polytope_vertices(G, -1) is not verts
+    assert list(G._cache) == [("growth_polytope_vertices", 1),
+                              ("growth_polytope_vertices", -1)]
+    # the arguments are positional only, so a call has one spelling
+    with pytest.raises(TypeError):
+        growth_polytope_vertices(G, level=1)
 
 
 def test_delta_prime_rho_model_is_zero():
@@ -235,7 +248,7 @@ def test_delta_prime_two_rho_values():
     assert dp.value == 4 and dp.status == "finite"
     assert dp.witness == vec([1, 1])
     assert evaluate_modified(G, dp.witness) == 4
-    d = delta_prime(G, [1, 0], modified=False)
+    d = delta_prime(unmodified(G), [1, 0])
     assert d.value == 8
 
 
@@ -340,13 +353,13 @@ def test_delta_prime_matches_ray_grid():
         assert abs(brute - float(dp.value)) <= 1e-6 * max(1.0, abs(brute))
 
 
-def _oracle_delta_prime(G, mu, modified=True):
+def _oracle_delta_prime(G, mu):
     """(value, witness) by the LP screen and epigraph scan delta_prime
     used before it read cached vertices and rays; witness None when the
     value is infinite or not attained."""
     cone = list(G.cone.halfspaces)
     r = rho(G.root_system)
-    shifted = [vsub(p, r) if modified else p for p in G.pieces]
+    shifted = [vsub(p, r) for p in G.pieces]
     zeros, ones = [Q(0)] * len(cone), [Q(1)] * len(shifted)
     if lp_feasible_ineq(cone + [vscale(-1, mu)] + shifted,
                         zeros + [Q(0)] + ones) is not None:
@@ -384,18 +397,18 @@ def test_delta_prime_matches_lp_and_epigraph_oracle():
             mus = [vec(w) for w in ws] + [vec(a) for a in R.simple_roots]
             mus += [vec(rng.randint(-3, 5) for _ in range(R.rank))
                     for _ in range(4)]
+            # each model and, through its rho-shifted copy, its unmodified
+            # exponent sup psi/mu
+            models += [unmodified(H) for H in models]
             for H in models:
                 for mu in (m for m in mus if any(m)):
-                    for modified in (True, False):
-                        dp = delta_prime(H, mu, modified=modified)
-                        assert (dp.value, dp.witness) == _oracle_delta_prime(
-                            H, mu, modified), (name, seed, mu, modified)
-                        checked[dp.status] += 1
-                        if dp.status == "infinite":
-                            c = dp.certificate
-                            val = (evaluate_modified(H, c) if modified
-                                   else evaluate(H, c))
-                            assert dot(mu, c) <= 0 and val > 0
+                    dp = delta_prime(H, mu)
+                    assert (dp.value, dp.witness) == _oracle_delta_prime(
+                        H, mu), (name, seed, mu, H.pieces)
+                    checked[dp.status] += 1
+                    if dp.status == "infinite":
+                        c = dp.certificate
+                        assert dot(mu, c) <= 0 and evaluate_modified(H, c) > 0
     assert min(checked.values()) > 0, checked
 
 
@@ -416,7 +429,7 @@ def exponent_sandwich(G, mu):
     r = rho(G.root_system)
     vals = [dot(r, g) / dot(mu, g) for g in G.cone.generators]
     lower, upper = dp - min(vals), dp + max(vals)
-    d = growth.delta_prime(G, mu, modified=False).value
+    d = growth.delta_prime(unmodified(G), mu).value
     if not lower <= d <= upper:
         raise CheckFailure(f"unmodified exponent {d} lies outside the "
                            f"sandwich [{lower}, {upper}]")
@@ -429,12 +442,12 @@ def test_exponent_sandwich():
     w1, w2 = fundamental_weights(R)
     mu = vadd(w1, w2)
     lo, hi = exponent_sandwich(G, mu)
-    assert lo <= delta_prime(G, mu, modified=False).value <= hi
+    assert lo <= delta_prime(unmodified(G), mu).value <= hi
 
     ray = poly_cone(generators=[[1, 1]], rank=2)
     Gr = build_growth_model(R, ray, [rho(R)])
     lo, hi = exponent_sandwich(Gr, [1, 0])
-    d = delta_prime(Gr, [1, 0], modified=False).value
+    d = delta_prime(unmodified(Gr), [1, 0]).value
     assert d == hi == 4 and lo == -4
 
     with pytest.raises(InputError):
@@ -445,9 +458,9 @@ def test_exponent_sandwich_rejects_exponent_outside(monkeypatch):
     G = rho_model()
     solved = delta_prime
 
-    def shifted(G, mu, modified=True):
-        dp = solved(G, mu, modified=modified)
-        return dp if modified else growth.DeltaPrime(dp.value + 100, dp.status)
+    def shifted(H, mu):
+        dp = solved(H, mu)
+        return dp if H is G else growth.DeltaPrime(dp.value + 100, dp.status)
     monkeypatch.setattr(growth, "delta_prime", shifted)
     with pytest.raises(CheckFailure, match="outside the sandwich"):
         exponent_sandwich(G, [1, 1])
@@ -458,7 +471,7 @@ def test_exponent_sandwich_scaled_weight():
     G = two_rho_model(R)
     mu = vscale(3, fundamental_weights(R)[1])
     lo, hi = exponent_sandwich(G, mu)
-    d = delta_prime(G, mu, modified=False).value
+    d = delta_prime(unmodified(G), mu).value
     assert lo <= d <= hi
     assert abs(float(d) - float(d)) < 1e-9
 

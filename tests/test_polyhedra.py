@@ -22,8 +22,8 @@ from weylgrowth.polyhedra import (
     min_norm_point,
     vertices_of_polyhedron,
 )
-from weylgrowth.rational import dot, matvec, to_float, vec
-from weylgrowth.rootsystem import build_root_system
+from weylgrowth.rational import dot, matvec, to_float, vadd, vec
+from weylgrowth.rootsystem import build_root_system, rho
 
 from lp_oracle import (
     extreme_rays_enum,
@@ -300,9 +300,9 @@ def test_enumerators_match_oracle_on_benchmark_models():
         G = growth_model_from_json(obj)
         n = G.root_system.rank
         for level in (1, -1):
-            A, b = super_level_rows(G, True, level)
+            A, b = super_level_rows(G, level)
             assert vertices_of_polyhedron(A, b) == vertices_enum(A, b), (obj, level)
-        rows, _ = super_level_rows(G, True, 0)
+        rows, _ = super_level_rows(G, 0)
         assert extreme_rays(rows, n) == extreme_rays_enum(rows, n), obj
     assert len(models) == 213 + 12
 
@@ -327,6 +327,10 @@ def test_enumerators_match_oracle_on_seeded_models(name, monkeypatch):
     monkeypatch.setattr(growth, "vertices_of_polyhedron", vertices_checked)
     G = random_growth_model(build_root_system(name), random.Random(name))
     critical.critical_data(G)
-    growth_polytope_vertices(G, True, -1)
-    recession_rays(G, False)
+    growth_polytope_vertices(G, -1)
+    # the rho-shifted model's recession cone is {v in cone : psi(v) >= 0}
+    r = rho(G.root_system)
+    recession_rays(growth.GrowthIndicator(
+        root_system=G.root_system, cone=G.cone,
+        pieces=tuple(vadd(p, r) for p in G.pieces)))
     assert len(calls) >= 4 and set(calls) == {G.root_system.rank}

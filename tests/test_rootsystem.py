@@ -109,10 +109,13 @@ def test_weyl_group_orders():
         assert len(weyl_group(R)) == order, name
 
 
-def test_weyl_cap_refusal():
+def test_weyl_cap_refusal(monkeypatch):
+    # the cap is fixed; b3's group has order 48
+    monkeypatch.setattr(rootsystem, "WEYL_CAP_DEFAULT", 10)
     R = build_root_system("b3")
-    with pytest.raises(CapExceeded):
-        weyl_group(R, cap=10)
+    with pytest.raises(CapExceeded, match="above the cap 10; this cap is fixed"):
+        weyl_group(R)
+    assert "weyl_group" not in R._cache
 
 
 def test_weyl_preserves_form():

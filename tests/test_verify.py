@@ -452,8 +452,6 @@ def test_psilinear_equality_on_wall_model():
     assert rep["equality_failures"] == 0
     assert rep["outside_cone"] == 0
     assert rep["tent_certified"]
-    # consistency mode agrees, so it must not raise
-    check_psilinear(wall_model(), samples=60, consistency=True)
 
 
 def test_psilinear_linear_model_matches_everywhere_in_cone():
@@ -475,21 +473,12 @@ def test_psilinear_adversarial_strict_inequality():
     assert rep["index_set"] == [0, 1]
     assert rep["equality_failures"] > 0
     assert rep["tent_certified"]
-    with pytest.raises(CheckFailure, match="linearity on the charged subcone"):
-        check_psilinear(G, samples=200, seed=0, consistency=True)
 
 
 def test_psilinear_rejects_negative_samples():
     with pytest.raises(InputError, match="nonnegative"):
         check_psilinear(wall_model(), samples=-3)
     assert check_psilinear(wall_model(), samples=0)["samples"] == 0
-
-
-def _outcome(check, *args, **kwargs):
-    try:
-        return "report", check(*args, **kwargs)
-    except (CheckFailure, InputError) as e:
-        return type(e).__name__, str(e)
 
 
 @pytest.mark.parametrize("preset", ["a2", "b2", "g2", "a3", "b3", "so(2,5)", "b4", "f4"])
@@ -509,16 +498,13 @@ def test_sampled_model_checks_match_fraction_oracle(preset, monkeypatch):
             assert (tent_check(G, mus, slack=slack, seed=s)
                     == lemma_oracle.tent_check(G, mus, slack=slack, seed=s))
     for s in (0, 3):
-        for consistency in (False, True):
-            assert (_outcome(check_psilinear, G, samples=150, seed=s,
-                             consistency=consistency)
-                    == _outcome(lemma_oracle.check_psilinear, G, samples=150,
-                                seed=s, consistency=consistency))
+        assert (check_psilinear(G, samples=150, seed=s)
+                == lemma_oracle.check_psilinear(G, samples=150, seed=s))
     # a delta' one below the true value: failures exist and must agree
     real = growth.delta_prime
-    monkeypatch.setattr(growth, "delta_prime", lambda G, mu, modified=True: (
+    monkeypatch.setattr(growth, "delta_prime", lambda G, mu: (
         dataclasses.replace(dp, value=dp.value - 1)
-        if (dp := real(G, mu, modified)).status != "infinite" else dp))
+        if (dp := real(G, mu)).status != "infinite" else dp))
     forced = tent_check(G, mus, slack=Q(1, 10**8), seed=2)
     assert forced["failures"]
     assert forced == lemma_oracle.tent_check(G, mus, slack=Q(1, 10**8), seed=2)
@@ -550,10 +536,9 @@ def test_b3_remark_rejects_negative_samples():
 def test_run_lemma_check_interface():
     with pytest.raises(InputError, match="unknown lemma check"):
         run_lemma_check("nope", "b2")
-    report = run_lemma_check("rightangles", "b2", samples=40, seed=0,
-                             mode="consistency")
-    assert report["mode"] == "consistency"
-    assert report["preset"] == "b2"
+    report = run_lemma_check("rightangles", "b2", samples=40, seed=0)
+    assert set(report) == {"lemma", "preset", "samples", "failures"}
+    assert report["preset"] == "b2" and report["failures"] == []
 
 
 def test_run_lemma_check_rejects_negative_samples():
